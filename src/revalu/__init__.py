@@ -37,23 +37,20 @@ from .gates import (
     TSG,
     GateKind,
     GateReport,
-    apply_gate,
-    invert_gate,
     tsg_as_full_adder,
     verify_gate,
 )
 from .montgomery import (
     CycleRecord,
+    InvariantError,
     MontDatapath,
     MontParams,
     MontRun,
     MontTrace,
-    build_mont_datapath,
     from_mont,
     mont_exp,
     mont_mult_trace,
     mont_mult_word,
-    run_mont_datapath,
     to_mont,
 )
 from .netlist import (
@@ -73,10 +70,6 @@ from .sequential import (
     MasterSlaveDFF,
     Register,
     ShiftRegister,
-    build_d_latch,
-    build_ms_dff,
-    build_register,
-    build_shift_register,
 )
 
 __version__ = "0.1.0"
@@ -93,6 +86,7 @@ __all__ = [
     "GateInstance",
     "GateKind",
     "GateReport",
+    "InvariantError",
     "IrreversibleGate",
     "IrreversibleNetlist",
     "K_BOLTZMANN",
@@ -113,17 +107,11 @@ __all__ = [
     "TSG",
     "ValidationReport",
     "Violation",
-    "apply_gate",
     "build_cpa",
     "build_csa42",
     "build_csa52",
-    "build_d_latch",
     "build_full_adder",
     "build_irreversible_cpa",
-    "build_mont_datapath",
-    "build_ms_dff",
-    "build_register",
-    "build_shift_register",
     "check_reversibility",
     "dpa_diff_of_means",
     "energy_report",
@@ -131,13 +119,11 @@ __all__ = [
     "erasure_report",
     "esig_energy",
     "from_mont",
-    "invert_gate",
     "landauer_energy",
     "mont_exp",
     "mont_mult_trace",
     "mont_mult_word",
     "parse_rnl",
-    "run_mont_datapath",
     "serialize_rnl",
     "switching_trace",
     "to_mont",

@@ -47,6 +47,16 @@ def _load_json_arg(text: str):
     return json.loads(text)
 
 
+def _bit_map(value, what: str) -> dict:
+    """Check a JSON value is an object of 0/1 ints (JSON true/false are not bits)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object of wire to bit, got {json.dumps(value)}")
+    for wire, bit in value.items():
+        if type(bit) is not int or bit not in (0, 1):
+            raise ValueError(f"{what}: {wire} must be 0 or 1, got {json.dumps(bit)}")
+    return value
+
+
 def _read_netlist(path: str) -> Netlist:
     with open(path) as handle:
         return parse_rnl(handle.read())
@@ -60,10 +70,10 @@ _COMBINATIONAL = {
 }
 
 _SEQUENTIAL = {
-    "dlatch": lambda width: sequential.build_d_latch(),
-    "dff": lambda width: sequential.build_ms_dff(),
-    "register": sequential.build_register,
-    "shiftreg": sequential.build_shift_register,
+    "dlatch": lambda width: sequential.DLatch(),
+    "dff": lambda width: sequential.MasterSlaveDFF(),
+    "register": sequential.Register,
+    "shiftreg": sequential.ShiftRegister,
 }
 
 
@@ -157,13 +167,15 @@ def _cmd_sim(args, parser) -> int:
         stimulus = _load_json_arg(args.stimulus)
         if not isinstance(stimulus, list):
             raise ValueError("stimulus must be a JSON array of input maps")
+        for i, step_inputs in enumerate(stimulus):
+            _bit_map(step_inputs, f"stimulus step {i}")
         responses = [circuit.step(step_inputs) for step_inputs in stimulus]
         print(json.dumps(responses, sort_keys=True))
         return 0
     if args.path is None or args.inputs is None:
         parser.error("sim requires a netlist path and --inputs (or --clocked)")
     netlist = _read_netlist(args.path)
-    assignment = _load_json_arg(args.inputs)
+    assignment = _bit_map(_load_json_arg(args.inputs), "inputs")
     values = netlist.simulate(assignment)
     _emit(
         {

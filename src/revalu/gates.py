@@ -109,16 +109,6 @@ class GateKind:
         return f"GateKind({self.name!r}, arity={self.arity})"
 
 
-def apply_gate(gate: GateKind, inputs: Bits) -> Bits:
-    """Forward-evaluate a gate on a bit tuple of matching width."""
-    return gate.apply(inputs)
-
-
-def invert_gate(gate: GateKind, outputs: Bits) -> Bits:
-    """Recover the unique input that produces `outputs`."""
-    return gate.invert(outputs)
-
-
 def _feynman(a, b):
     return (a, a ^ b)
 

@@ -23,13 +23,17 @@ the final conditional subtraction is performed at word level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import build_cpa
 from .bits import from_bits, to_bits
 from .gates import FEYNMAN, TOFFOLI, TSG
 from .netlist import CostReport, GateInstance, Netlist
-from .sequential import Register, ShiftRegister
+from .sequential import ClockedCircuit, Register, ShiftRegister
+
+
+class InvariantError(RuntimeError):
+    """A gate-level datapath invariant failed: the hardware model is wrong."""
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,12 @@ def mont_exp(a: int, b: int, modulus: int) -> int:
 # -- gate-level datapath ---------------------------------------------
 
 
+def _invariant(holds: bool, message: str) -> None:
+    """A datapath check that, unlike `assert`, still runs under `python -O`."""
+    if not holds:
+        raise InvariantError(message)
+
+
 def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Netlist:
     """One carry-save stage: a TSG full-adder row plus operand gating.
 
@@ -284,7 +294,15 @@ class MontRun:
     product: int
     cycles: tuple[CycleRecord, ...]
     snapshots: tuple[tuple[int, ...], ...]
-    metadata: dict = field(default_factory=dict)
+
+    @property
+    def metadata(self) -> dict:
+        """Operands and parameters, as carried by a switching trace."""
+        return {"x": self.x, "y": self.y, "m": self.modulus, "n": self.n}
+
+
+#: The datapath's clocked parts, in snapshot bit order.
+_CLOCKED_PARTS = ("s_shift", "c_shift", "s_reg", "c_reg", "x_shift", "y_reg", "m_reg")
 
 
 class MontDatapath:
@@ -300,7 +318,8 @@ class MontDatapath:
         n = params.n
         self.stage1 = _csa_stage(w, n, bus="y", tap_lsb=False, name="csa_stage1")
         self.stage2 = _csa_stage(w, n, bus="m", tap_lsb=True, name="csa_stage2")
-        assert self.stage1.validate().ok and self.stage2.validate().ok
+        self.stage1._require_valid()
+        self.stage2._require_valid()
         self.s_reg = Register(w)
         self.c_reg = Register(w)
         self.s_shift = ShiftRegister(w)
@@ -315,31 +334,20 @@ class MontDatapath:
     # -- accounting ---------------------------------------------------
 
     @property
+    def _parts(self) -> tuple[ClockedCircuit, ...]:
+        return tuple(getattr(self, name) for name in _CLOCKED_PARTS)
+
+    @property
     def cores(self) -> tuple[Netlist, ...]:
         """Every combinational netlist in the datapath, latch cores included."""
-        sequential_parts = (
-            self.s_reg,
-            self.c_reg,
-            self.s_shift,
-            self.c_shift,
-            self.x_shift,
-            self.y_reg,
-            self.m_reg,
-        )
-        latch_cores = tuple(c for part in sequential_parts for c in part.cores)
+        latch_cores = tuple(c for part in self._parts for c in part.cores)
         return (self.stage1, self.stage2, self.final_adder) + latch_cores
 
     def component_costs(self) -> dict[str, CostReport]:
         return {
             "csa_stage1": self.stage1.cost_report(),
             "csa_stage2": self.stage2.cost_report(),
-            "s_reg": self.s_reg.cost_report(),
-            "c_reg": self.c_reg.cost_report(),
-            "s_shift": self.s_shift.cost_report(),
-            "c_shift": self.c_shift.cost_report(),
-            "x_shift": self.x_shift.cost_report(),
-            "y_reg": self.y_reg.cost_report(),
-            "m_reg": self.m_reg.cost_report(),
+            **{name: getattr(self, name).cost_report() for name in _CLOCKED_PARTS},
             "final_adder": self.final_adder.cost_report(),
         }
 
@@ -352,27 +360,10 @@ class MontDatapath:
 
     @property
     def garbage_bits_emitted(self) -> int:
-        parts = (
-            self.s_reg,
-            self.c_reg,
-            self.s_shift,
-            self.c_shift,
-            self.x_shift,
-            self.y_reg,
-            self.m_reg,
-        )
-        return sum(p.garbage_bits_emitted for p in parts)
+        return sum(p.garbage_bits_emitted for p in self._parts)
 
     def _snapshot(self) -> tuple[int, ...]:
-        return (
-            self.s_shift.state
-            + self.c_shift.state
-            + self.s_reg.state
-            + self.c_reg.state
-            + self.x_shift.state
-            + self.y_reg.state
-            + self.m_reg.state
-        )
+        return tuple(b for part in self._parts for b in part.state)
 
     # -- execution ----------------------------------------------------
 
@@ -411,7 +402,7 @@ class MontDatapath:
             )
             sum1 = from_bits(out1[f"sum{j}"] for j in range(w))
             car1 = from_bits(out1[f"car{j}"] for j in range(w))
-            assert car1 >> (w - 1) == 0  # bounded, never spills past the register
+            _invariant(car1 >> (w - 1) == 0, "stage 1 carry spills past the register")
             self.s_reg.load(sum1)
             self.c_reg.load((car1 << 1) & ((1 << w) - 1))
             s0 = self.s_reg.value & 1
@@ -423,8 +414,8 @@ class MontDatapath:
             )
             sum2 = from_bits(out2[f"sum{j}"] for j in range(w))
             car2 = from_bits(out2[f"car{j}"] for j in range(w))
-            assert car2 >> (w - 1) == 0
-            assert sum2 & 1 == 0  # parity cleared, halving is exact
+            _invariant(car2 >> (w - 1) == 0, "stage 2 carry spills past the register")
+            _invariant(sum2 & 1 == 0, "stage 2 left the parity set; halving would be inexact")
             total_after_parity_clear = sum2 + (car2 << 1)
 
             self.s_shift.load_value(sum2)
@@ -468,14 +459,5 @@ class MontDatapath:
             product=p,
             cycles=tuple(cycles),
             snapshots=tuple(snapshots),
-            metadata={"x": x, "y": y, "m": params.modulus, "n": params.n},
         )
         return p
-
-
-def build_mont_datapath(params: MontParams) -> MontDatapath:
-    return MontDatapath(params)
-
-
-def run_mont_datapath(datapath: MontDatapath, x: int, y: int) -> int:
-    return datapath.run(x, y)

@@ -394,6 +394,8 @@ def check_reversibility(
     exhaustive = mode == "exhaustive" or (mode == "auto" and n_bits <= exhaustive_limit)
     if exhaustive and n_bits > 24:
         raise ValueError(f"{n_bits} source bits is too many for exhaustive checking")
+    if not exhaustive and samples < 1:
+        raise ValueError(f"random mode needs samples >= 1, got {samples}")
 
     classified = list(netlist.primary_outputs) + list(netlist.garbage_outputs)
     failures: list[str] = []

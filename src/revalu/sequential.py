@@ -5,12 +5,14 @@ computes the next state (enable selects between held state and data)
 and one Feynman gate copies it, one leg feeding the state back and the
 other observable. Feedback lives in the stepper, not in the netlist:
 each time step evaluates the acyclic combinational core once with the
-previous state, so the cores stay verifiable as ordinary reversible
-netlists.
+previous state, so the core stays verifiable as an ordinary reversible
+netlist.
 
-Clock and enable rails may drive any number of elements; only data
-wires are subject to the single-sink rule, and every element keeps its
-own core netlist so no single netlist contains fan-out.
+Every element is a bank of such latches over one state list, and all
+latches share one validated core. Clock and enable rails may drive any
+number of latches; only data wires are subject to the single-sink
+rule, and each latch step evaluates the core on its own, so no single
+netlist contains fan-out. The element classes differ only in wiring.
 
 Each latch discards two bits per step (the enable pass-through and the
 Fredkin swap residue); the running total is tracked per element because
@@ -25,26 +27,24 @@ from .bits import from_bits, to_bits
 from .gates import FEYNMAN, FREDKIN
 from .netlist import CostReport, GateInstance, Netlist
 
-
-def _latch_core() -> Netlist:
-    """Combinational core of the D latch, feedback edge cut.
-
-    Inputs e (enable), d (data), q (previous state). The Fredkin gate
-    is wired so its middle output is e'*q + e*d, i.e. the next state;
-    the Feynman gate duplicates it into the feedback leg `qs` and the
-    observable leg `qo`.
-    """
-    return Netlist(
-        primary_inputs=["e", "d", "q"],
-        constants={"z": 0},
-        gates=[
-            GateInstance(FREDKIN, ("e", "q", "d"), ("et", "qn", "gs")),
-            GateInstance(FEYNMAN, ("qn", "z"), ("qs", "qo")),
-        ],
-        primary_outputs=["qs", "qo"],
-        garbage_outputs=["et", "gs"],
-        name="dlatch_core",
-    )
+#: Combinational core of the D latch, feedback edge cut.
+#:
+#: Inputs e (enable), d (data), q (previous state). The Fredkin gate is
+#: wired so its middle output is e'*q + e*d, i.e. the next state; the
+#: Feynman gate duplicates it into the feedback leg `qs` and the
+#: observable leg `qo`.
+LATCH_CORE = Netlist(
+    primary_inputs=["e", "d", "q"],
+    constants={"z": 0},
+    gates=[
+        GateInstance(FREDKIN, ("e", "q", "d"), ("et", "qn", "gs")),
+        GateInstance(FEYNMAN, ("qn", "z"), ("qs", "qo")),
+    ],
+    primary_outputs=["qs", "qo"],
+    garbage_outputs=["et", "gs"],
+    name="dlatch_core",
+)
+LATCH_CORE._require_valid()
 
 
 def _bit(inputs: Mapping[str, int], name: str) -> int:
@@ -57,24 +57,51 @@ def _bit(inputs: Mapping[str, int], name: str) -> int:
     return value
 
 
-class ClockedCircuit:
-    """Base class for discrete-time reversible sequential elements.
+def _one_bit(value: int) -> int:
+    if value not in (0, 1):
+        raise ValueError(f"latch holds one bit, got {value!r}")
+    return value
 
-    Instances carry mutable state; drive each instance from a single
-    stepper. `step` consumes one input map and returns the observable
-    outputs for that time step.
+
+def _check_width(width: int) -> int:
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
+    return width
+
+
+class ClockedCircuit:
+    """A bank of D latches: the one discrete-time sequential element.
+
+    Holds the latched bits in one state list and counts latch steps;
+    subclasses supply the wiring (how many latches, and how `step`
+    drives them). Master-slave pair k uses latches 2k (master) and
+    2k+1 (slave). Instances carry mutable state; drive each instance
+    from a single stepper. `step` consumes one input map and returns
+    the observable outputs for that time step.
     """
 
     name = ""
 
+    def __init__(self, latches: int):
+        self._q = [0] * latches
+        self._latch_steps = 0
+
+    def _latch(self, i: int, e: int, d: int) -> int:
+        """Step latch i once through the shared core; return its observable q."""
+        values = LATCH_CORE._evaluate({"e": e, "d": d, "q": self._q[i], "z": 0})
+        self._q[i] = values["qs"]
+        self._latch_steps += 1
+        return values["qo"]
+
     @property
     def cores(self) -> tuple[Netlist, ...]:
-        raise NotImplementedError
+        """One core per latch, all the same validated netlist."""
+        return (LATCH_CORE,) * len(self._q)
 
     @property
     def state(self) -> tuple[int, ...]:
         """All latched bits, including any internal master stages."""
-        raise NotImplementedError
+        return tuple(self._q)
 
     @property
     def value(self) -> int:
@@ -83,7 +110,7 @@ class ClockedCircuit:
 
     @property
     def garbage_bits_emitted(self) -> int:
-        raise NotImplementedError
+        return self._latch_steps * len(LATCH_CORE.garbage_outputs)
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         raise NotImplementedError
@@ -105,39 +132,19 @@ class DLatch(ClockedCircuit):
     name = "dlatch"
 
     def __init__(self):
-        self._core = _latch_core()
-        assert self._core.validate().ok
-        self._q = 0
-        self._garbage = 0
-
-    @property
-    def cores(self) -> tuple[Netlist, ...]:
-        return (self._core,)
-
-    @property
-    def state(self) -> tuple[int, ...]:
-        return (self._q,)
+        super().__init__(1)
 
     @property
     def value(self) -> int:
-        return self._q
-
-    @property
-    def garbage_bits_emitted(self) -> int:
-        return self._garbage
+        return self._q[0]
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         e = _bit(inputs, "e")
         d = _bit(inputs, "d")
-        values = self._core._evaluate({"e": e, "d": d, "q": self._q, "z": 0})
-        self._q = values["qs"]
-        self._garbage += len(self._core.garbage_outputs)
-        return {"q": values["qo"]}
+        return {"q": self._latch(0, e, d)}
 
     def load_value(self, value: int) -> None:
-        if value not in (0, 1):
-            raise ValueError(f"latch holds one bit, got {value!r}")
-        self._q = value
+        self._q[0] = _one_bit(value)
 
 
 class Register(ClockedCircuit):
@@ -150,42 +157,23 @@ class Register(ClockedCircuit):
     name = "register"
 
     def __init__(self, width: int):
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        self.width = width
-        self._lanes = [DLatch() for _ in range(width)]
-
-    @property
-    def cores(self) -> tuple[Netlist, ...]:
-        return tuple(core for lane in self._lanes for core in lane.cores)
-
-    @property
-    def state(self) -> tuple[int, ...]:
-        return tuple(lane.value for lane in self._lanes)
+        self.width = _check_width(width)
+        super().__init__(width)
 
     @property
     def value(self) -> int:
-        return from_bits(self.state)
-
-    @property
-    def garbage_bits_emitted(self) -> int:
-        return sum(lane.garbage_bits_emitted for lane in self._lanes)
+        return from_bits(self._q)
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         e = _bit(inputs, "e")
-        outputs = {}
-        for i, lane in enumerate(self._lanes):
-            out = lane.step({"e": e, "d": _bit(inputs, f"d{i}")})
-            outputs[f"q{i}"] = out["q"]
-        return outputs
+        return {f"q{i}": self._latch(i, e, _bit(inputs, f"d{i}")) for i in range(self.width)}
 
     def load(self, value: int) -> None:
         """Clock the value in through the latches (one step with e=1)."""
         self.step({"e": 1, **{f"d{i}": b for i, b in enumerate(to_bits(value, self.width))}})
 
     def load_value(self, value: int) -> None:
-        for lane, b in zip(self._lanes, to_bits(value, self.width)):
-            lane.load_value(b)
+        self._q[:] = to_bits(value, self.width)
 
 
 class MasterSlaveDFF(ClockedCircuit):
@@ -200,31 +188,16 @@ class MasterSlaveDFF(ClockedCircuit):
     name = "dff"
 
     def __init__(self):
-        self._master = DLatch()
-        self._slave = DLatch()
-
-    @property
-    def cores(self) -> tuple[Netlist, ...]:
-        return self._master.cores + self._slave.cores
-
-    @property
-    def state(self) -> tuple[int, ...]:
-        return (self._master.value, self._slave.value)
+        super().__init__(2)
 
     @property
     def value(self) -> int:
-        return self._slave.value
-
-    @property
-    def garbage_bits_emitted(self) -> int:
-        return self._master.garbage_bits_emitted + self._slave.garbage_bits_emitted
+        return self._q[1]
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         cp = _bit(inputs, "cp")
         d = _bit(inputs, "d")
-        master_out = self._master.step({"e": cp, "d": d})
-        slave_out = self._slave.step({"e": 1 - cp, "d": master_out["q"]})
-        return {"q": slave_out["q"]}
+        return {"q": self._latch(1, 1 - cp, self._latch(0, cp, d))}
 
     def pulse(self, d: int) -> dict[str, int]:
         """One full clock pulse: evaluate at cp=1, then at cp=0."""
@@ -232,8 +205,7 @@ class MasterSlaveDFF(ClockedCircuit):
         return self.step({"cp": 0, "d": d})
 
     def load_value(self, value: int) -> None:
-        self._master.load_value(value)
-        self._slave.load_value(value)
+        self._q[:] = (_one_bit(value),) * 2
 
 
 class ShiftRegister(ClockedCircuit):
@@ -248,36 +220,21 @@ class ShiftRegister(ClockedCircuit):
     name = "shiftreg"
 
     def __init__(self, width: int):
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        self.width = width
-        self._flops = [MasterSlaveDFF() for _ in range(width)]
-
-    @property
-    def cores(self) -> tuple[Netlist, ...]:
-        return tuple(core for f in self._flops for core in f.cores)
-
-    @property
-    def state(self) -> tuple[int, ...]:
-        return tuple(b for f in self._flops for b in f.state)
+        self.width = _check_width(width)
+        super().__init__(2 * width)
 
     @property
     def value(self) -> int:
-        return from_bits(tuple(f.value for f in self._flops))
-
-    @property
-    def garbage_bits_emitted(self) -> int:
-        return sum(f.garbage_bits_emitted for f in self._flops)
+        return from_bits(self._q[1::2])
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         cp = _bit(inputs, "cp")
         sin = _bit(inputs, "sin")
-        # Capture neighbours before any flop moves.
-        feed = [self._flops[i + 1].value for i in range(self.width - 1)] + [sin]
+        # Capture neighbours (slave outputs) before any flop moves.
+        feed = self._q[3::2] + [sin]
         outputs = {}
-        for i, f in enumerate(self._flops):
-            out = f.step({"cp": cp, "d": feed[i]})
-            outputs[f"q{i}"] = out["q"]
+        for i, d in enumerate(feed):
+            outputs[f"q{i}"] = self._latch(2 * i + 1, 1 - cp, self._latch(2 * i, cp, d))
         outputs["sout"] = outputs["q0"]
         return outputs
 
@@ -286,21 +243,4 @@ class ShiftRegister(ClockedCircuit):
         return self.step({"cp": 0, "sin": sin})
 
     def load_value(self, value: int) -> None:
-        for f, b in zip(self._flops, to_bits(value, self.width)):
-            f.load_value(b)
-
-
-def build_d_latch() -> DLatch:
-    return DLatch()
-
-
-def build_ms_dff() -> MasterSlaveDFF:
-    return MasterSlaveDFF()
-
-
-def build_register(width: int) -> Register:
-    return Register(width)
-
-
-def build_shift_register(width: int) -> ShiftRegister:
-    return ShiftRegister(width)
+        self._q[:] = (b for b in to_bits(value, self.width) for _ in range(2))

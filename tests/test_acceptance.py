@@ -14,18 +14,17 @@ import pytest
 from revalu import (
     FREDKIN,
     TSG,
+    DLatch,
+    MasterSlaveDFF,
+    MontDatapath,
     MontParams,
     PowerTrace,
-    apply_gate,
+    ShiftRegister,
     build_cpa,
     build_csa42,
     build_csa52,
-    build_d_latch,
     build_full_adder,
     build_irreversible_cpa,
-    build_mont_datapath,
-    build_ms_dff,
-    build_shift_register,
     check_reversibility,
     dpa_diff_of_means,
     erasure_report,
@@ -65,12 +64,12 @@ def test_criterion_2_gate_soundness():
     with criterion(2, "TSG/Fredkin truth maps sound; TSG is a full adder"):
         tsg_report = verify_gate(TSG)
         assert tsg_report.bijective
-        assert len({apply_gate(TSG, p) for p in product((0, 1), repeat=4)}) == 16
+        assert len({TSG.apply(p) for p in product((0, 1), repeat=4)}) == 16
 
         frg_report = verify_gate(FREDKIN)
         assert frg_report.bijective and frg_report.conservative
         for pattern in product((0, 1), repeat=3):
-            assert sum(apply_gate(FREDKIN, pattern)) == sum(pattern)
+            assert sum(FREDKIN.apply(pattern)) == sum(pattern)
 
         for a, b, cin in product((0, 1), repeat=3):
             total = a + b + cin
@@ -175,7 +174,7 @@ def test_criterion_4_reversibility_round_trip():
 
 def test_criterion_5_sequential_equivalence():
     with criterion(5, "latch equation, DFF/shift-register behavioral equivalence"):
-        latch = build_d_latch()
+        latch = DLatch()
         for e, d, q in product((0, 1), repeat=3):
             latch.load_value(q)
             latch.step({"e": e, "d": d})
@@ -183,7 +182,7 @@ def test_criterion_5_sequential_equivalence():
 
         for seed in range(100):
             rng = random.Random(seed)
-            dff = build_ms_dff()
+            dff = MasterSlaveDFF()
             master = q = 0
             for _ in range(100):
                 cp, d = rng.randint(0, 1), rng.randint(0, 1)
@@ -197,7 +196,7 @@ def test_criterion_5_sequential_equivalence():
         width = 4
         for seed in range(100):
             rng = random.Random(1000 + seed)
-            sr = build_shift_register(width)
+            sr = ShiftRegister(width)
             start = rng.randrange(1 << width)
             sr.load_value(start)
             masters = list(to_bits(start, width))
@@ -212,7 +211,7 @@ def test_criterion_5_sequential_equivalence():
                     slaves = list(masters)
                 assert sr.value == from_bits(slaves)
 
-        sr = build_shift_register(4)
+        sr = ShiftRegister(4)
         sr.load_value(0b1011)
         sr.pulse(sin=0)
         assert sr.value == 0b0101
@@ -231,13 +230,13 @@ def test_criterion_6_montgomery_correctness():
                         assert record.total_after_parity_clear % 2 == 0
 
         params7 = MontParams(7, 3)
-        datapath = build_mont_datapath(params7)
+        datapath = MontDatapath(params7)
         for x in range(7):
             for y in range(7):
                 assert datapath.run(x, y) == mont_mult_word(x, y, params7)
 
         params16 = MontParams.for_modulus(0xFFF1)  # odd 16-bit modulus
-        wide = build_mont_datapath(params16)
+        wide = MontDatapath(params16)
         rng = random.Random(6)
         for _ in range(100):
             x = rng.randrange(params16.modulus)

@@ -85,6 +85,17 @@ class TestVerify:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_random_mode_without_samples_fails(self, capsys, tmp_path, samples):
+        path = tmp_path / "fa.rnl"
+        run(capsys, "build", "fa", "--out", str(path))
+        code, out, err = run(
+            capsys, "verify", str(path), "--mode", "random", "--samples", samples
+        )
+        assert code == 1
+        assert out == ""
+        assert "samples" in err
+
     def test_syntax_error_reported(self, capsys, tmp_path):
         path = tmp_path / "syntax.rnl"
         path.write_text("gate XYZ a -> b\n")
@@ -123,6 +134,41 @@ class TestSimAndCost:
         )
         assert code == 0
         assert json.loads(out)[-1] == {"q": 1}
+
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            ("[1,2]", "inputs must be a JSON object"),
+            ('{"a":true,"b":0,"cin":1}', "a must be 0 or 1, got true"),
+            ('{"a":1,"b":2,"cin":1}', "b must be 0 or 1, got 2"),
+            ('{"a":1,"b":0,"cin":1.0}', "cin must be 0 or 1, got 1.0"),
+        ],
+    )
+    def test_sim_inputs_must_be_a_bit_map(self, capsys, tmp_path, inputs, message):
+        path = tmp_path / "fa.rnl"
+        run(capsys, "build", "fa", "--out", str(path))
+        code, out, err = run(capsys, "sim", str(path), "--inputs", inputs)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "stimulus, message",
+        [
+            ("[5]", "stimulus step 0 must be a JSON object"),
+            ('[{"e":1,"d":1},[1]]', "stimulus step 1 must be a JSON object"),
+            ('[{"e":true,"d":1}]', "e must be 0 or 1, got true"),
+            ('[{"e":1,"d":false}]', "d must be 0 or 1, got false"),
+            ('{"e":1,"d":1}', "stimulus must be a JSON array"),
+        ],
+    )
+    def test_sim_stimulus_steps_must_be_bit_maps(self, capsys, stimulus, message):
+        code, out, err = run(
+            capsys, "sim", "--clocked", "dlatch", "--stimulus", stimulus
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_cost_command(self, capsys, tmp_path):
         path = tmp_path / "csa.rnl"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from revalu import (
     K_BOLTZMANN,
+    MontDatapath,
     MontParams,
     PowerTrace,
     build_cpa,
@@ -15,7 +16,6 @@ from revalu import (
     build_csa52,
     build_full_adder,
     build_irreversible_cpa,
-    build_mont_datapath,
     dpa_diff_of_means,
     energy_report,
     erasure_bits,
@@ -143,7 +143,7 @@ class TestSwitchingTrace:
         assert trace.samples == (4.0,)
 
     def test_montgomery_run_trace_length_is_scan_length(self):
-        datapath = build_mont_datapath(MontParams(7, 3))
+        datapath = MontDatapath(MontParams(7, 3))
         datapath.run(3, 5)
         trace = switching_trace(datapath.last_run)
         assert len(trace) == 3
@@ -255,7 +255,7 @@ class TestEnergyReport:
         assert combined.deferred_erasure_bits == 2 + 4
 
     def test_whole_datapath_is_internally_lossless(self):
-        datapath = build_mont_datapath(MontParams(7, 3))
+        datapath = MontDatapath(MontParams(7, 3))
         report = energy_report(datapath.cores)
         assert report.erased_bits == 0.0
         assert report.deferred_erasure_bits == datapath.cost_report().garbage_count

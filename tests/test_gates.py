@@ -11,8 +11,6 @@ from revalu import (
     TOFFOLI,
     TSG,
     GateKind,
-    apply_gate,
-    invert_gate,
     tsg_as_full_adder,
     verify_gate,
 )
@@ -29,55 +27,55 @@ def tsg_equations(a, b, c, d):
 
 class TestApply:
     def test_fredkin_control_low_passes_through(self):
-        assert apply_gate(FREDKIN, (0, 1, 0)) == (0, 1, 0)
+        assert FREDKIN.apply((0, 1, 0)) == (0, 1, 0)
 
     def test_fredkin_control_high_swaps(self):
-        assert apply_gate(FREDKIN, (1, 1, 0)) == (1, 0, 1)
+        assert FREDKIN.apply((1, 1, 0)) == (1, 0, 1)
 
     def test_fredkin_matches_equations_everywhere(self):
         for x1, x2, x3 in product((0, 1), repeat=3):
             y2 = ((1 ^ x1) & x2) | (x1 & x3)
             y3 = (x1 & x2) | ((1 ^ x1) & x3)
-            assert apply_gate(FREDKIN, (x1, x2, x3)) == (x1, y2, y3)
+            assert FREDKIN.apply((x1, x2, x3)) == (x1, y2, y3)
 
     def test_tsg_zero_pattern(self):
-        assert apply_gate(TSG, (0, 0, 0, 0)) == (0, 0, 0, 0)
+        assert TSG.apply((0, 0, 0, 0)) == (0, 0, 0, 0)
 
     def test_tsg_matches_equations_everywhere(self):
         for bits in product((0, 1), repeat=4):
-            assert apply_gate(TSG, bits) == tsg_equations(*bits)
+            assert TSG.apply(bits) == tsg_equations(*bits)
 
     def test_feynman_is_cnot(self):
-        assert apply_gate(FEYNMAN, (1, 0)) == (1, 1)
-        assert apply_gate(FEYNMAN, (0, 1)) == (0, 1)
+        assert FEYNMAN.apply((1, 0)) == (1, 1)
+        assert FEYNMAN.apply((0, 1)) == (0, 1)
 
     def test_toffoli_controls_both_high(self):
-        assert apply_gate(TOFFOLI, (1, 1, 0)) == (1, 1, 1)
+        assert TOFFOLI.apply((1, 1, 0)) == (1, 1, 1)
 
     def test_width_mismatch_reports_expected_and_actual(self):
         with pytest.raises(ValueError, match="expected 4 bits, got 3"):
-            apply_gate(TSG, (1, 0, 1))
+            TSG.apply((1, 0, 1))
 
     def test_non_binary_input_rejected(self):
         with pytest.raises(ValueError):
-            apply_gate(FEYNMAN, (2, 0))
+            FEYNMAN.apply((2, 0))
 
 
 class TestInvert:
     def test_fredkin_inverse_of_swap(self):
-        assert invert_gate(FREDKIN, (1, 0, 1)) == (1, 1, 0)
+        assert FREDKIN.invert((1, 0, 1)) == (1, 1, 0)
 
     def test_feynman_self_inverse(self):
-        assert invert_gate(FEYNMAN, (1, 1)) == (1, 0)
+        assert FEYNMAN.invert((1, 1)) == (1, 0)
 
     def test_tsg_round_trip(self):
-        out = apply_gate(TSG, (1, 0, 1, 1))
-        assert invert_gate(TSG, out) == (1, 0, 1, 1)
+        out = TSG.apply((1, 0, 1, 1))
+        assert TSG.invert(out) == (1, 0, 1, 1)
 
     @pytest.mark.parametrize("gate", ALL_GATES, ids=lambda g: g.name)
     def test_invert_after_apply_is_identity(self, gate):
         for bits in product((0, 1), repeat=gate.arity):
-            assert invert_gate(gate, apply_gate(gate, bits)) == bits
+            assert gate.invert(gate.apply(bits)) == bits
 
     def test_non_bijective_table_refuses_to_invert(self):
         squash = {
@@ -115,7 +113,7 @@ class TestVerify:
 
     def test_fredkin_preserves_weight_on_all_patterns(self):
         for bits in product((0, 1), repeat=3):
-            assert sum(apply_gate(FREDKIN, bits)) == sum(bits)
+            assert sum(FREDKIN.apply(bits)) == sum(bits)
 
     def test_tsg_bijective_and_one_through(self):
         report = verify_gate(TSG)
@@ -123,7 +121,7 @@ class TestVerify:
         assert 0 in report.one_through_inputs
 
     def test_tsg_image_has_sixteen_patterns(self):
-        outs = {apply_gate(TSG, bits) for bits in product((0, 1), repeat=4)}
+        outs = {TSG.apply(bits) for bits in product((0, 1), repeat=4)}
         assert len(outs) == 16
 
     def test_feynman_not_conservative(self):

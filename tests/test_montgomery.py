@@ -1,18 +1,22 @@
 """Montgomery multiplication against modular-arithmetic oracles."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import revalu
 import revalu.montgomery as mg
 from revalu import (
+    MontDatapath,
     MontParams,
-    build_mont_datapath,
     from_mont,
     mont_exp,
     mont_mult_trace,
     mont_mult_word,
-    run_mont_datapath,
     to_mont,
 )
 
@@ -129,35 +133,35 @@ class TestDomainConversion:
 
 class TestDatapath:
     def test_cores_validate(self):
-        datapath = build_mont_datapath(MontParams.for_modulus(11))
+        datapath = MontDatapath(MontParams.for_modulus(11))
         assert datapath.stage1.validate().ok
         assert datapath.stage2.validate().ok
         assert datapath.final_adder.validate().ok
 
     def test_matches_word_level_exhaustively_m7(self):
         params = MontParams(7, 3)
-        datapath = build_mont_datapath(params)
+        datapath = MontDatapath(params)
         for x in range(7):
             for y in range(7):
-                assert run_mont_datapath(datapath, x, y) == mont_mult_word(
+                assert datapath.run(x, y) == mont_mult_word(
                     x, y, params
                 )
 
     def test_cycle_by_cycle_trace_match(self):
         params = MontParams(7, 3)
-        datapath = build_mont_datapath(params)
+        datapath = MontDatapath(params)
         datapath.run(3, 5)
         word = mont_mult_trace(3, 5, params)
         for gate_cycle, word_cycle in zip(datapath.last_run.cycles, word.cycles):
             assert gate_cycle == word_cycle
 
     def test_zero_operand(self):
-        datapath = build_mont_datapath(MontParams(7, 3))
+        datapath = MontDatapath(MontParams(7, 3))
         assert datapath.run(0, 6) == 0
 
     def test_random_wide_cases(self):
         params = MontParams.for_modulus(0xB00B)  # odd 16-bit modulus
-        datapath = build_mont_datapath(params)
+        datapath = MontDatapath(params)
         rng = random.Random(9)
         for _ in range(10):
             x = rng.randrange(params.modulus)
@@ -165,12 +169,12 @@ class TestDatapath:
             assert datapath.run(x, y) == mont_mult_word(x, y, params)
 
     def test_snapshot_count_is_cycles_plus_one(self):
-        datapath = build_mont_datapath(MontParams(7, 3))
+        datapath = MontDatapath(MontParams(7, 3))
         datapath.run(3, 5)
         assert len(datapath.last_run.snapshots) == 4
 
     def test_cost_is_sum_of_component_reports(self):
-        datapath = build_mont_datapath(MontParams.for_modulus(13))
+        datapath = MontDatapath(MontParams.for_modulus(13))
         components = datapath.component_costs()
         total = datapath.cost_report()
         assert total.gate_count == sum(r.gate_count for r in components.values())
@@ -181,14 +185,55 @@ class TestDatapath:
         assert total.unit_delay == sum(r.unit_delay for r in components.values())
 
     def test_operand_range_enforced(self):
-        datapath = build_mont_datapath(MontParams(7, 3))
+        datapath = MontDatapath(MontParams(7, 3))
         with pytest.raises(ValueError, match="out of range"):
             datapath.run(7, 0)
 
     def test_run_record_metadata(self):
-        datapath = build_mont_datapath(MontParams(7, 3))
+        datapath = MontDatapath(MontParams(7, 3))
         datapath.run(2, 4)
         assert datapath.last_run.metadata == {"x": 2, "y": 4, "m": 7, "n": 3}
+
+
+class TestDatapathInvariants:
+    # An even value forced into m_reg cannot clear the parity bit, so
+    # halving would be inexact and the product wrong.
+    FAULT = textwrap.dedent(
+        """
+        import sys
+        from revalu.montgomery import InvariantError, MontDatapath, MontParams
+
+        if __debug__:
+            sys.exit("expected to run under python -O")
+        datapath = MontDatapath(MontParams(7, 3))
+        load = datapath.m_reg.load_value
+        datapath.m_reg.load_value = lambda value: load(value - 1)
+        try:
+            product = datapath.run(3, 5)
+        except InvariantError as exc:
+            print(f"InvariantError: {exc}")
+        else:
+            print(f"product {product}")
+        """
+    )
+
+    def test_parity_invariant_survives_python_O(self):
+        src = os.path.dirname(os.path.dirname(revalu.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", self.FAULT],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("InvariantError: ")
+        assert "parity" in result.stdout
+
+    def test_invariant_error_is_named(self):
+        datapath = MontDatapath(MontParams(7, 3))
+        load = datapath.m_reg.load_value
+        datapath.m_reg.load_value = lambda value: load(value - 1)
+        with pytest.raises(mg.InvariantError, match="parity"):
+            datapath.run(3, 5)
 
 
 class TestExponentiation:

@@ -196,6 +196,17 @@ class TestReversibilityCheck:
         with pytest.raises(ValueError, match="mode"):
             check_reversibility(build_full_adder(), mode="psychic")
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_random_mode_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            check_reversibility(build_full_adder(), samples=samples, mode="random")
+        with pytest.raises(ValueError, match="samples"):
+            check_reversibility(build_cpa(16), samples=samples)  # auto picks random
+
+    def test_sample_count_ignored_when_exhaustive(self):
+        report = check_reversibility(build_full_adder(), samples=0)
+        assert report.mode == "exhaustive" and report.ok and report.cases == 16
+
 
 class TestCostReport:
     def test_single_gate_adder(self):

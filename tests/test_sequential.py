@@ -4,21 +4,23 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revalu import (
     FREDKIN,
-    apply_gate,
-    build_d_latch,
-    build_ms_dff,
-    build_register,
-    build_shift_register,
+    DLatch,
+    MasterSlaveDFF,
+    Register,
+    ShiftRegister,
     check_reversibility,
 )
+from revalu.bits import from_bits, to_bits
 
 
 class TestDLatch:
     def test_characteristic_equation_all_eight_cases(self):
-        latch = build_d_latch()
+        latch = DLatch()
         for e, d, q in product((0, 1), repeat=3):
             latch.load_value(q)
             out = latch.step({"e": e, "d": d})
@@ -27,44 +29,44 @@ class TestDLatch:
             assert out["q"] == expected
 
     def test_enabled_load(self):
-        latch = build_d_latch()
+        latch = DLatch()
         assert latch.step({"e": 1, "d": 1})["q"] == 1
 
     def test_disabled_hold(self):
-        latch = build_d_latch()
+        latch = DLatch()
         latch.load_value(0)
         assert latch.step({"e": 0, "d": 1})["q"] == 0
 
     def test_fredkin_wiring_spot_check(self):
         # Middle output with (e=1, q=0, d=1) must be the loaded data bit.
-        assert apply_gate(FREDKIN, (1, 0, 1))[1] == 1
+        assert FREDKIN.apply((1, 0, 1))[1] == 1
 
     def test_core_is_valid_reversible_netlist(self):
-        core = build_d_latch().cores[0]
+        core = DLatch().cores[0]
         assert core.validate().ok
         assert check_reversibility(core).ok
 
     def test_garbage_two_bits_per_step(self):
-        latch = build_d_latch()
+        latch = DLatch()
         for step in range(5):
             latch.step({"e": 1, "d": step & 1})
         assert latch.garbage_bits_emitted == 10
 
     def test_missing_input_named(self):
         with pytest.raises(ValueError, match="'d'"):
-            build_d_latch().step({"e": 1})
+            DLatch().step({"e": 1})
 
 
 class TestMasterSlaveDFF:
     def test_output_updates_on_falling_clock(self):
-        dff = build_ms_dff()
+        dff = MasterSlaveDFF()
         dff.step({"cp": 1, "d": 1})
         assert dff.value == 0  # slave still opaque
         dff.step({"cp": 0, "d": 0})
         assert dff.value == 1  # captured data appears at the fall
 
     def test_data_toggling_while_low_is_ignored(self):
-        dff = build_ms_dff()
+        dff = MasterSlaveDFF()
         dff.pulse(1)
         assert dff.value == 1
         for d in (0, 1, 0, 1):
@@ -74,7 +76,7 @@ class TestMasterSlaveDFF:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_stimulus_matches_behavioral_model(self, seed):
         rng = random.Random(seed)
-        dff = build_ms_dff()
+        dff = MasterSlaveDFF()
         master = 0
         q = 0
         for _ in range(100):
@@ -88,7 +90,7 @@ class TestMasterSlaveDFF:
             assert dff.value == q
 
     def test_hold_with_clock_low(self):
-        dff = build_ms_dff()
+        dff = MasterSlaveDFF()
         dff.pulse(1)
         state = dff.state
         for _ in range(4):
@@ -98,12 +100,12 @@ class TestMasterSlaveDFF:
 
 class TestRegister:
     def test_parallel_load(self):
-        reg = build_register(4)
+        reg = Register(4)
         reg.step({"e": 1, "d0": 1, "d1": 1, "d2": 0, "d3": 1})
         assert reg.value == 0b1011
 
     def test_hold(self):
-        reg = build_register(4)
+        reg = Register(4)
         reg.load_value(0b0110)
         reg.step({"e": 0, "d0": 1, "d1": 0, "d2": 0, "d3": 1})
         assert reg.value == 0b0110
@@ -112,7 +114,7 @@ class TestRegister:
     def test_random_load_hold_sequence(self, seed):
         rng = random.Random(seed)
         width = 5
-        reg = build_register(width)
+        reg = Register(width)
         model = 0
         for _ in range(100):
             e = rng.randint(0, 1)
@@ -123,32 +125,32 @@ class TestRegister:
             assert reg.value == model
 
     def test_cost_scales_with_width(self):
-        report = build_register(4).cost_report()
+        report = Register(4).cost_report()
         assert report.gate_count == 8  # two gates per latch lane
 
 
 class TestShiftRegister:
     def test_one_pulse_halves(self):
-        sr = build_shift_register(4)
+        sr = ShiftRegister(4)
         sr.load_value(0b1011)
         sr.pulse(sin=0)
         assert sr.value == 0b0101
 
     def test_zero_stays_zero(self):
-        sr = build_shift_register(4)
+        sr = ShiftRegister(4)
         for _ in range(6):
             sr.pulse(sin=0)
         assert sr.value == 0
 
     def test_serial_in_fills_msb(self):
-        sr = build_shift_register(3)
+        sr = ShiftRegister(3)
         sr.load_value(0)
         sr.pulse(sin=1)
         assert sr.value == 0b100
 
     def test_width_pulses_flush_to_fill(self):
         for fill in (0, 1):
-            sr = build_shift_register(5)
+            sr = ShiftRegister(5)
             sr.load_value(0b10110)
             for _ in range(5):
                 sr.pulse(sin=fill)
@@ -158,7 +160,7 @@ class TestShiftRegister:
     def test_pulse_sequence_matches_behavioral_shift(self, seed):
         rng = random.Random(seed)
         width = 6
-        sr = build_shift_register(width)
+        sr = ShiftRegister(width)
         start = rng.randrange(1 << width)
         sr.load_value(start)
         model = start
@@ -169,7 +171,7 @@ class TestShiftRegister:
             assert sr.value == model
 
     def test_serial_out_mirrors_lsb(self):
-        sr = build_shift_register(3)
+        sr = ShiftRegister(3)
         sr.load_value(0b110)
         out = sr.pulse(sin=0)
         assert out["sout"] == sr.value & 1
@@ -178,12 +180,119 @@ class TestShiftRegister:
 class TestConstructionLimits:
     def test_zero_width_register(self):
         with pytest.raises(ValueError, match="width"):
-            build_register(0)
+            Register(0)
 
     def test_zero_width_shift_register(self):
         with pytest.raises(ValueError, match="width"):
-            build_shift_register(0)
+            ShiftRegister(0)
 
     def test_latch_load_value_range(self):
         with pytest.raises(ValueError, match="one bit"):
-            build_d_latch().load_value(2)
+            DLatch().load_value(2)
+
+
+class BehaviouralModel:
+    """Plain bit-list model of a clocked element, independent of the latch core.
+
+    `masters` is None for single-rank elements (latch, register); the
+    flip-flop and the shift register keep a master and a slave rank.
+    """
+
+    def __init__(self, kind, width):
+        self.kind = kind
+        self.width = width
+        self.slaves = [0] * width
+        self.masters = [0] * width if kind in ("dff", "shiftreg") else None
+        self.garbage = 0
+
+    @property
+    def state(self):
+        if self.masters is None:
+            return tuple(self.slaves)
+        return tuple(b for pair in zip(self.masters, self.slaves) for b in pair)
+
+    @property
+    def value(self):
+        return from_bits(self.slaves)
+
+    def step(self, inputs):
+        if self.kind in ("dlatch", "register"):
+            if inputs["e"]:
+                self.slaves = [inputs["d" if self.kind == "dlatch" else f"d{i}"]
+                               for i in range(self.width)]
+            self.garbage += 2 * self.width
+            if self.kind == "dlatch":
+                return {"q": self.slaves[0]}
+            return {f"q{i}": b for i, b in enumerate(self.slaves)}
+        if self.kind == "dff":
+            feed = [inputs["d"]]
+        else:
+            feed = self.slaves[1:] + [inputs["sin"]]
+        if inputs["cp"]:
+            self.masters = feed
+        else:
+            self.slaves = list(self.masters)
+        self.garbage += 4 * self.width
+        if self.kind == "dff":
+            return {"q": self.slaves[0]}
+        return {**{f"q{i}": b for i, b in enumerate(self.slaves)}, "sout": self.slaves[0]}
+
+    def load_value(self, value):
+        self.slaves = list(to_bits(value, self.width))
+        if self.masters is not None:
+            self.masters = list(self.slaves)
+
+
+_ELEMENTS = {
+    "dlatch": lambda width: DLatch(),
+    "register": Register,
+    "dff": lambda width: MasterSlaveDFF(),
+    "shiftreg": ShiftRegister,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ELEMENTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_clocked_elements_match_behavioural_model(kind, data):
+    width = 1 if kind in ("dlatch", "dff") else data.draw(st.integers(1, 5), label="width")
+    element = _ELEMENTS[kind](width)
+    model = BehaviouralModel(kind, width)
+    bit = st.integers(0, 1)
+    actions = ["step", "load_value"]
+    actions += {"register": ["load"], "dff": ["pulse"], "shiftreg": ["pulse"]}.get(kind, [])
+    for action in data.draw(st.lists(st.sampled_from(actions), max_size=25), label="actions"):
+        if action == "load_value":
+            value = data.draw(st.integers(0, (1 << width) - 1))
+            element.load_value(value)
+            model.load_value(value)
+            continue
+        if action == "step":
+            if kind in ("dlatch", "dff"):
+                names = ["e" if kind == "dlatch" else "cp", "d"]
+            elif kind == "register":
+                names = ["e"] + [f"d{i}" for i in range(width)]
+            else:
+                names = ["cp", "sin"]
+            inputs = {name: data.draw(bit, label=name) for name in names}
+            steps = [inputs]
+        elif action == "load":
+            value = data.draw(st.integers(0, (1 << width) - 1))
+            steps = [{"e": 1, **{f"d{i}": b for i, b in enumerate(to_bits(value, width))}}]
+        else:  # pulse: clock high, then low, with the same data
+            d = data.draw(bit, label="d")
+            name = "d" if kind == "dff" else "sin"
+            steps = [{"cp": 1, name: d}, {"cp": 0, name: d}]
+        expected = [model.step(inputs) for inputs in steps][-1]
+        if action == "step":
+            out = element.step(inputs)
+        elif action == "load":
+            out = element.load(value)
+            expected = None
+        else:
+            out = element.pulse(d)
+        assert out == expected
+        assert element.value == model.value
+        assert element.state == model.state
+        assert element.garbage_bits_emitted == model.garbage
+    assert len(element.state) == len(element.cores)
