@@ -233,6 +233,10 @@ def _run_traces(datapath: MontDatapath, pairs) -> list[energy.PowerTrace]:
 
 
 def _cmd_trace(args, parser) -> int:
+    if args.count < 1:
+        parser.error(f"--count must be >= 1, got {args.count}")
+    if args.energy and args.count > 1:
+        parser.error("--energy reports on a single run; drop --count")
     params = MontParams.for_modulus(args.m, args.n)
     if args.count > 1:
         rng = random.Random(args.seed)
@@ -248,8 +252,6 @@ def _cmd_trace(args, parser) -> int:
     traces = _run_traces(datapath, pairs)
 
     if args.energy:
-        if args.count > 1:
-            parser.error("--energy reports on a single run; drop --count")
         report = energy.energy_report(
             datapath.cores,
             temperature_k=args.temp_k,
@@ -282,9 +284,10 @@ def _cmd_trace(args, parser) -> int:
 
 def _parse_selector(spec: str):
     field, _, bit_text = spec.partition(":")
-    if not field:
+    bit_text = bit_text or "0"
+    if not field or not bit_text.isdecimal():
         raise ValueError(f"bad selector {spec!r}, expected FIELD[:BIT]")
-    bit = int(bit_text) if bit_text else 0
+    bit = int(bit_text)
 
     def selector(metadata):
         try:
@@ -297,6 +300,11 @@ def _parse_selector(spec: str):
 
 
 def _cmd_dpa(args, parser) -> int:
+    if not args.demo and not args.traces:
+        parser.error("dpa requires --traces FILE or --demo")
+    if args.demo and args.count < 2:
+        parser.error(f"dpa --demo needs --count >= 2, got {args.count}")
+    selector = _parse_selector(args.select or "x:0")
     if args.demo:
         params = MontParams.for_modulus(args.m)
         rng = random.Random(args.seed)
@@ -305,10 +313,7 @@ def _cmd_dpa(args, parser) -> int:
             for _ in range(args.count)
         ]
         traces = _run_traces(MontDatapath(params), pairs)
-        selector = _parse_selector(args.select or "x:0")
     else:
-        if not args.traces:
-            parser.error("dpa requires --traces FILE or --demo")
         with open(args.traces) as handle:
             raw = json.load(handle)
         if isinstance(raw, dict):
@@ -317,7 +322,6 @@ def _cmd_dpa(args, parser) -> int:
             energy.PowerTrace(tuple(item["samples"]), dict(item.get("metadata", {})))
             for item in raw
         ]
-        selector = _parse_selector(args.select or "x:0")
     differential = energy.dpa_diff_of_means(traces, selector)
     peak = max(range(len(differential)), key=lambda i: abs(differential[i]))
     _emit(

@@ -55,9 +55,12 @@ class GateKind:
                 f"{name}: truth table has {len(table)} entries, "
                 f"expected {expected}"
             )
+        patterns = set(product((0, 1), repeat=arity))
         for key, value in table.items():
             if len(key) != arity or len(value) != arity:
                 raise ValueError(f"{name}: table entry {key} -> {value} has wrong width")
+            if key not in patterns or tuple(value) not in patterns:
+                raise ValueError(f"{name}: table entry {key} -> {value} is not 0/1")
         self._table = dict(table)
         inverse = {v: k for k, v in self._table.items()}
         self._inverse = inverse if len(inverse) == expected else None
@@ -87,11 +90,22 @@ class GateKind:
         """Copy of the full enumerated truth map."""
         return dict(self._table)
 
+    # The tables hold exactly the valid bit tuples, so a hit is the whole
+    # check; only a miss (or an unhashable argument) runs the slow checks.
+
     def apply(self, inputs: Bits) -> Bits:
+        try:
+            return self._table[inputs]
+        except (KeyError, TypeError):
+            pass
         self._check_width(inputs)
         return self._table[tuple(inputs)]
 
     def invert(self, outputs: Bits) -> Bits:
+        try:
+            return self._inverse[outputs]
+        except (KeyError, TypeError):
+            pass
         self._check_width(outputs)
         if self._inverse is None:
             raise ValueError(f"{self.name}: truth table is not bijective, cannot invert")

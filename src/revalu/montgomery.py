@@ -33,7 +33,11 @@ from .sequential import ClockedCircuit, Register, ShiftRegister
 
 
 class InvariantError(RuntimeError):
-    """A gate-level datapath invariant failed: the hardware model is wrong."""
+    """A Montgomery loop invariant failed: the model or its parameters are wrong.
+
+    Raised by explicit checks, which unlike `assert` still run under
+    `python -O`.
+    """
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,8 @@ def mont_mult_word(x: int, y: int, params: MontParams) -> int:
             s, c = _csa_words(s, c, 0)
         # Adding M when the parity bit is set makes both words even,
         # so the halving below is exact.
-        assert s & 1 == 0 and c & 1 == 0
+        if s & 1 or c & 1:
+            raise InvariantError("parity set before halving; halving would be inexact")
         s >>= 1
         c >>= 1
     p = s + c
@@ -146,11 +151,12 @@ def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
         s0 = s & 1
         s, c = _csa_words(s, c, m if s0 else 0)
         t4 = s + c
-        assert s & 1 == 0 and c & 1 == 0
-        assert t4 % 2 == 0
+        if s & 1 or c & 1:
+            raise InvariantError("parity set before halving; halving would be inexact")
         s >>= 1
         c >>= 1
-        assert s + c < 2 * m
+        if s + c >= 2 * m:
+            raise InvariantError("running sum S + C reached 2M")
         cycles.append(CycleRecord(i, xi, s0, t3, t4, s, c))
     p = s + c
     if p >= m:

@@ -8,6 +8,12 @@ garbage output). Fan-out is a hard violation; duplication must be done
 with explicit copy gates. Under that discipline the whole netlist maps
 its input-plus-constant vector bijectively onto its output-plus-garbage
 vector, and can be simulated both forwards and backwards.
+
+Evaluation runs a plan compiled once per validated netlist: every wire
+gets a slot in a flat list of bits, and each gate reads and writes
+fixed slots, in topological order forwards and in reverse order
+backwards. Arguments are checked once per call, at the boundary
+(`simulate`, `simulate_inverse`), not per gate.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import graphlib
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .gates import GateKind
@@ -123,6 +130,7 @@ class Netlist:
                 raise ValueError(f"constant {wire} must be 0 or 1, got {value!r}")
         self._validation: ValidationReport | None = None
         self._topo: tuple[int, ...] | None = None
+        self._compiled: _Plan | None = None
 
     # -- structure ---------------------------------------------------
 
@@ -246,23 +254,23 @@ class Netlist:
                 f"({len(report.violations)} violations): {summary}"
             )
 
+    def _plan(self) -> "_Plan":
+        """The evaluation plan, compiled on first use. Refuses invalid netlists."""
+        if self._compiled is None:
+            self._require_valid()
+            self._compiled = _Plan(self)
+        return self._compiled
+
     # -- simulation --------------------------------------------------
 
     def _evaluate(self, sources: Mapping[str, int]) -> dict[str, int]:
         """Propagate from explicit source values (inputs and constants)."""
-        values = dict(sources)
-        order = self._toposort()
-        assert order is not None
-        for idx in order:
-            g = self.gates[idx]
-            try:
-                in_bits = tuple(values[w] for w in g.inputs)
-            except KeyError as exc:
-                raise NetlistError(f"wire {exc.args[0]} has no value during evaluation")
-            out_bits = g.kind.apply(in_bits)
-            for w, b in zip(g.outputs, out_bits):
-                values[w] = b
-        return values
+        plan = self._plan()
+        try:
+            bits = [sources[w] for w in plan.sources]
+        except KeyError as exc:
+            raise NetlistError(f"wire {exc.args[0]} has no value during evaluation") from None
+        return dict(zip(plan.wires, plan.forward(bits)))
 
     def simulate(self, inputs: Mapping[str, int]) -> dict[str, int]:
         """Forward-simulate and return the value of every wire.
@@ -270,19 +278,17 @@ class Netlist:
         `inputs` must assign exactly the primary inputs; constants are
         taken from their declarations. Refuses invalid netlists.
         """
-        self._require_valid()
-        missing = [w for w in self.primary_inputs if w not in inputs]
-        if missing:
-            raise NetlistError(f"missing input assignments: {', '.join(missing)}")
-        unknown = [w for w in inputs if w not in self.primary_inputs]
-        if unknown:
+        plan = self._plan()
+        if inputs.keys() != plan.input_set:
+            missing = [w for w in self.primary_inputs if w not in inputs]
+            if missing:
+                raise NetlistError(f"missing input assignments: {', '.join(missing)}")
+            unknown = [w for w in inputs if w not in plan.input_set]
             raise NetlistError(f"unknown inputs: {', '.join(unknown)}")
-        for w, b in inputs.items():
-            if b not in (0, 1):
-                raise NetlistError(f"input {w} must be 0 or 1, got {b!r}")
-        sources = dict(self.constants)
-        sources.update(inputs)
-        return self._evaluate(sources)
+        bits = [inputs[w] for w in self.primary_inputs]
+        _require_bits(bits, inputs.items(), "input")
+        bits += self.constants.values()
+        return dict(zip(plan.wires, plan.forward(bits)))
 
     def simulate_inverse(self, outputs: Mapping[str, int]) -> dict[str, int]:
         """Run the circuit backwards from a complete output assignment.
@@ -292,29 +298,16 @@ class Netlist:
         recovered values of all primary inputs and constant wires (the
         constants a forward run must have used).
         """
-        self._require_valid()
-        classified = list(self.primary_outputs) + list(self.garbage_outputs)
-        missing = [w for w in classified if w not in outputs]
-        if missing:
-            raise NetlistError(f"missing output assignments: {', '.join(missing)}")
-        unknown = [w for w in outputs if w not in classified]
-        if unknown:
+        plan = self._plan()
+        if outputs.keys() != plan.output_set:
+            missing = [w for w in plan.outputs if w not in outputs]
+            if missing:
+                raise NetlistError(f"missing output assignments: {', '.join(missing)}")
+            unknown = [w for w in outputs if w not in plan.output_set]
             raise NetlistError(f"unknown outputs: {', '.join(unknown)}")
-        values = {w: outputs[w] for w in classified}
-        for w, b in values.items():
-            if b not in (0, 1):
-                raise NetlistError(f"output {w} must be 0 or 1, got {b!r}")
-        order = self._toposort()
-        assert order is not None
-        for idx in reversed(order):
-            g = self.gates[idx]
-            out_bits = tuple(values[w] for w in g.outputs)
-            in_bits = g.kind.invert(out_bits)
-            for w, b in zip(g.inputs, in_bits):
-                values[w] = b
-        recovered = {w: values[w] for w in self.primary_inputs}
-        recovered.update({w: values[w] for w in self.constants})
-        return recovered
+        bits = [outputs[w] for w in plan.outputs]
+        _require_bits(bits, zip(plan.outputs, bits), "output")
+        return dict(zip(plan.sources, plan.inverse(bits)))
 
     def output_values(self, wire_values: Mapping[str, int]) -> dict[str, int]:
         """Project a full wire valuation onto the primary outputs."""
@@ -353,6 +346,71 @@ class Netlist:
         )
 
 
+def _require_bits(bits: list, named: Iterable[tuple[str, int]], what: str) -> None:
+    """Raise on the first non-bit of `named` unless every one of `bits` is 0/1."""
+    if bits.count(0) + bits.count(1) != len(bits):
+        for w, b in named:
+            if b not in (0, 1):
+                raise NetlistError(f"{what} {w} must be 0 or 1, got {b!r}")
+
+
+def _gather(slots: Sequence[int]):
+    """Callable that picks `slots` out of a bit list as a tuple."""
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda bits: (bits[slot],)
+    return itemgetter(*slots) if slots else lambda bits: ()
+
+
+class _Plan:
+    """A validated netlist compiled to slot indices into a list of bits.
+
+    The slots are the primary inputs, then the constants, then each
+    gate's outputs in topological order, so the sources lead the list
+    and every gate writes one contiguous run of slots.
+    """
+
+    def __init__(self, netlist: Netlist):
+        gates = [netlist.gates[i] for i in netlist._toposort()]
+        self.sources = (*netlist.primary_inputs, *netlist.constants)
+        self.wires = self.sources + tuple(w for g in gates for w in g.outputs)
+        self.outputs = (*netlist.primary_outputs, *netlist.garbage_outputs)
+        self.input_set = frozenset(netlist.primary_inputs)
+        self.output_set = frozenset(self.outputs)
+        self.slot = {w: i for i, w in enumerate(self.wires)}
+        self.output_slots = [self.slot[w] for w in self.outputs]
+        self._pad = [None] * (len(self.wires) - len(self.sources))
+        self._forward, inverse = [], []
+        lo = len(self.sources)
+        for g in gates:
+            hi = lo + len(g.outputs)
+            in_slots = [self.slot[w] for w in g.inputs]
+            self._forward.append((g.kind, _gather(in_slots), lo, hi))
+            inverse.append((g.kind, _gather(range(lo, hi)), in_slots))
+            lo = hi
+        self._inverse = inverse[::-1]
+
+    def forward(self, sources: Sequence[int]) -> list:
+        """Run forwards from the source bits (inputs, then constants); return all slots."""
+        bits = [*sources, *self._pad]
+        for kind, gather, lo, hi in self._forward:
+            bits[lo:hi] = kind.apply(gather(bits))
+        return bits
+
+    def inverse(self, outputs: Sequence[int]) -> list:
+        """Run backwards from the classified output bits; return all slots.
+
+        Slots start empty, so a source no gate writes back stays None.
+        """
+        bits = [None] * len(self.wires)
+        for slot, b in zip(self.output_slots, outputs):
+            bits[slot] = b
+        for kind, gather, in_slots in self._inverse:
+            for slot, b in zip(in_slots, kind.invert(gather(bits))):
+                bits[slot] = b
+        return bits
+
+
 @dataclass(frozen=True)
 class ReversibilityReport:
     """Result of a forward/inverse round-trip check."""
@@ -386,9 +444,8 @@ def check_reversibility(
     valuation is inverted and compared, and in exhaustive mode the
     output image is additionally checked for distinctness.
     """
-    netlist._require_valid()
-    source_wires = list(netlist.primary_inputs) + list(netlist.constants)
-    n_bits = len(source_wires)
+    plan = netlist._plan()
+    n_bits = len(plan.sources)
     if mode not in ("auto", "exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     exhaustive = mode == "exhaustive" or (mode == "auto" and n_bits <= exhaustive_limit)
@@ -397,7 +454,7 @@ def check_reversibility(
     if not exhaustive and samples < 1:
         raise ValueError(f"random mode needs samples >= 1, got {samples}")
 
-    classified = list(netlist.primary_outputs) + list(netlist.garbage_outputs)
+    gather_outputs = _gather(plan.output_slots)
     failures: list[str] = []
     images: set[Bits] = set()
 
@@ -412,13 +469,10 @@ def check_reversibility(
         cases = samples
 
     for vec in vectors:
-        sources = dict(zip(source_wires, vec))
-        values = netlist._evaluate(sources)
-        out_vec = tuple(values[w] for w in classified)
+        out_vec = gather_outputs(plan.forward(vec))
         if exhaustive:
             images.add(out_vec)
-        recovered = netlist.simulate_inverse(dict(zip(classified, out_vec)))
-        back = tuple(recovered[w] for w in source_wires)
+        back = tuple(plan.inverse(out_vec)[:n_bits])
         if back != vec:
             failures.append(f"round trip failed for sources {vec}: got {back}")
             if len(failures) >= 10:

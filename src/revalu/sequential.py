@@ -44,7 +44,8 @@ LATCH_CORE = Netlist(
     garbage_outputs=["et", "gs"],
     name="dlatch_core",
 )
-LATCH_CORE._require_valid()
+_LATCH = LATCH_CORE._plan()
+_QS, _QO = _LATCH.slot["qs"], _LATCH.slot["qo"]
 
 
 def _bit(inputs: Mapping[str, int], name: str) -> int:
@@ -88,10 +89,10 @@ class ClockedCircuit:
 
     def _latch(self, i: int, e: int, d: int) -> int:
         """Step latch i once through the shared core; return its observable q."""
-        values = LATCH_CORE._evaluate({"e": e, "d": d, "q": self._q[i], "z": 0})
-        self._q[i] = values["qs"]
+        bits = _LATCH.forward((e, d, self._q[i], 0))  # sources e, d, q, then z = 0
+        self._q[i] = bits[_QS]
         self._latch_steps += 1
-        return values["qo"]
+        return bits[_QO]
 
     @property
     def cores(self) -> tuple[Netlist, ...]:
@@ -165,8 +166,10 @@ class Register(ClockedCircuit):
         return from_bits(self._q)
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
+        # Read every input before any latch moves, so a rejected step changes nothing.
         e = _bit(inputs, "e")
-        return {f"q{i}": self._latch(i, e, _bit(inputs, f"d{i}")) for i in range(self.width)}
+        data = [_bit(inputs, f"d{i}") for i in range(self.width)]
+        return {f"q{i}": self._latch(i, e, d) for i, d in enumerate(data)}
 
     def load(self, value: int) -> None:
         """Clock the value in through the latches (one step with e=1)."""

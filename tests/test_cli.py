@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from revalu import MontDatapath
 from revalu.cli import main
 
 
@@ -274,6 +275,37 @@ class TestTraceAndDpa:
         with pytest.raises(SystemExit) as excinfo:
             main(["dpa"])
         assert excinfo.value.code == 2
+
+
+class TestArgumentsCheckedBeforeRuns:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Records every MontDatapath.run call instead of running it."""
+        calls = []
+        monkeypatch.setattr(MontDatapath, "run", lambda self, x, y: calls.append((x, y)))
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--m", "7", "--energy", "--count", "8"],
+            ["trace", "--m", "7", "--count", "0", "--x", "1", "--y", "2"],
+            ["trace", "--m", "7", "--count", "-3", "--x", "1", "--y", "2"],
+            ["dpa", "--demo", "--m", "7", "--count", "1"],
+            ["dpa", "--demo", "--m", "7", "--count", "0"],
+        ],
+    )
+    def test_usage_error_before_any_run(self, capsys, runs, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert runs == []
+
+    def test_bad_selector_rejected_before_any_run(self, capsys, runs):
+        code, out, err = run(capsys, "dpa", "--demo", "--m", "7", "--select", "x:z")
+        assert code == 1 and out == ""
+        assert "bad selector 'x:z'" in err
+        assert runs == []
 
 
 class TestDeterminism:

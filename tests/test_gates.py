@@ -1,5 +1,6 @@
 """Gate-level truth-map tests, exhaustive where the spaces are tiny."""
 
+import re
 from itertools import product
 
 import pytest
@@ -59,6 +60,34 @@ class TestApply:
     def test_non_binary_input_rejected(self):
         with pytest.raises(ValueError):
             FEYNMAN.apply((2, 0))
+
+
+class TestArgumentErrors:
+    # A table lookup comes first; these pin the errors a miss still gives.
+
+    @pytest.mark.parametrize("bits", [(None, 0, 1), (0, None, 1), (0, 1, 2), (2, 1, 0)])
+    def test_apply_names_the_bad_pattern(self, bits):
+        with pytest.raises(ValueError, match=re.escape(f"TG: inputs must be 0/1, got {bits}")):
+            TOFFOLI.apply(bits)
+
+    def test_apply_accepts_a_list(self):
+        assert TOFFOLI.apply([1, 1, 0]) == (1, 1, 1)
+        assert TSG.invert([0, 0, 0, 0]) == TSG.invert((0, 0, 0, 0))
+
+    def test_invert_width_mismatch(self):
+        with pytest.raises(ValueError, match="TSG: expected 4 bits, got 3"):
+            TSG.invert((1, 0, 1))
+
+    def test_invert_names_the_bad_pattern(self):
+        with pytest.raises(ValueError, match=re.escape("FG: inputs must be 0/1, got (1, 2)")):
+            FEYNMAN.invert((1, 2))
+
+    def test_non_bit_table_entry_refused(self):
+        table = {(0,): (0,), (2,): (1,)}
+        with pytest.raises(ValueError, match="not 0/1"):
+            GateKind("BAD", 1, table)
+        with pytest.raises(ValueError, match="not 0/1"):
+            GateKind("BAD", 1, {(0,): (1,), (1,): (2,)})
 
 
 class TestInvert:

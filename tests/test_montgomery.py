@@ -236,6 +236,43 @@ class TestDatapathInvariants:
             datapath.run(3, 5)
 
 
+class TestWordLevelInvariants:
+    # An even modulus forced past MontParams validation cannot clear the
+    # parity bit, so the halving would be inexact and the product wrong.
+    FAULT = textwrap.dedent(
+        """
+        import sys
+        from revalu.montgomery import (
+            InvariantError, MontParams, mont_mult_trace, mont_mult_word)
+
+        if __debug__:
+            sys.exit("expected to run under python -O")
+        params = object.__new__(MontParams)
+        object.__setattr__(params, "modulus", 6)
+        object.__setattr__(params, "n", 3)
+        for fn in (mont_mult_word, mont_mult_trace):
+            try:
+                result = fn(3, 5, params)
+            except InvariantError as exc:
+                print(f"{fn.__name__}: InvariantError: {exc}")
+            else:
+                print(f"{fn.__name__}: product {result}")
+        """
+    )
+
+    def test_parity_invariant_survives_python_O(self):
+        src = os.path.dirname(os.path.dirname(revalu.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", self.FAULT],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["mont_mult_word", "mont_mult_trace"]
+        assert all(": InvariantError: parity" in line for line in lines), lines
+
+
 class TestExponentiation:
     def test_five_cubed_mod_seven(self):
         assert mont_exp(5, 3, 7) == 6

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from revalu import (
     FEYNMAN,
+    FREDKIN,
+    TOFFOLI,
     TSG,
     GateInstance,
     Netlist,
@@ -16,6 +18,8 @@ from revalu import (
     build_cpa,
     build_full_adder,
     check_reversibility,
+    parse_rnl,
+    serialize_rnl,
 )
 
 
@@ -136,6 +140,11 @@ class TestSimulate:
         with pytest.raises(NetlistError, match="invalid"):
             broken.simulate({"a": 0})
 
+    @pytest.mark.parametrize("bad", [2, None, "1"])
+    def test_non_bit_input_rejected(self, bad):
+        with pytest.raises(NetlistError, match=f"input b must be 0 or 1, got {bad!r}"):
+            build_full_adder().simulate({"a": 1, "b": bad, "cin": 0})
+
     def test_returns_every_wire(self):
         fa = build_full_adder()
         values = fa.simulate({"a": 0, "b": 1, "cin": 0})
@@ -155,6 +164,15 @@ class TestSimulateInverse:
         fa = build_full_adder()
         with pytest.raises(NetlistError, match="missing output"):
             fa.simulate_inverse({"sum": 0, "cout": 1})
+
+    def test_unknown_output_rejected(self):
+        with pytest.raises(NetlistError, match="unknown outputs: bogus"):
+            feynman_copy().simulate_inverse({"x": 1, "y": 1, "bogus": 0})
+
+    @pytest.mark.parametrize("bad", [2, None])
+    def test_non_bit_output_rejected(self, bad):
+        with pytest.raises(NetlistError, match=f"output y must be 0 or 1, got {bad!r}"):
+            feynman_copy().simulate_inverse({"x": 1, "y": bad})
 
     def test_feynman_only_round_trip(self):
         n = feynman_copy()
@@ -260,3 +278,75 @@ class TestBijectionExhaustive:
                 values = netlist._evaluate(dict(zip(source, vec)))
                 images.add(tuple(values[w] for w in classified))
             assert len(images) == 1 << len(source)
+
+
+# -- random netlists against a reference interpreter --------------------
+
+MAX_SOURCES = 10  # inputs plus constants, so the exhaustive check stays fast
+
+
+@st.composite
+def random_netlists(draw):
+    """A valid netlist of standard gates, stored out of topological order.
+
+    Each gate consumes live wires (inputs or earlier gate outputs) or
+    fresh constants, so every wire has exactly one sink; whatever is
+    live at the end is split between primary and garbage outputs.
+    """
+    inputs = [f"i{k}" for k in range(draw(st.integers(0, 4)))]
+    live = list(inputs)
+    constants: dict[str, int] = {}
+    gates = []
+    for g in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from([FEYNMAN, TOFFOLI, FREDKIN, TSG]))
+        spare = MAX_SOURCES - len(inputs) - len(constants)
+        low, high = max(0, kind.arity - spare), min(kind.arity, len(live))
+        if low > high:
+            break
+        ins = [live.pop(draw(st.integers(0, len(live) - 1)))
+               for _ in range(draw(st.integers(low, high)))]
+        while len(ins) < kind.arity:
+            wire = f"k{len(constants)}"
+            constants[wire] = draw(st.integers(0, 1))
+            ins.append(wire)
+        outs = [f"g{g}o{p}" for p in range(kind.arity)]
+        gates.append(GateInstance(kind, draw(st.permutations(ins)), outs))
+        live += outs
+    garbage = draw(st.lists(st.booleans(), min_size=len(live), max_size=len(live)))
+    return Netlist(
+        primary_inputs=inputs,
+        constants=constants,
+        gates=draw(st.permutations(gates)),
+        primary_outputs=[w for w, g in zip(live, garbage) if not g],
+        garbage_outputs=[w for w, g in zip(live, garbage) if g],
+        name="random",
+    )
+
+
+def reference_simulate(netlist: Netlist, inputs: dict) -> dict:
+    """Plain dict-walking interpreter: fire any gate whose inputs are all known."""
+    values = {**netlist.constants, **inputs}
+    pending = list(netlist.gates)
+    while pending:
+        ready = next(g for g in pending if all(w in values for w in g.inputs))
+        table = ready.kind.truth_table
+        values.update(zip(ready.outputs, table[tuple(values[w] for w in ready.inputs)]))
+        pending.remove(ready)
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_netlists(), st.data())
+def test_random_netlists_simulate_invert_verify_and_round_trip(netlist, data):
+    assert netlist.validate().ok
+    inputs = {w: data.draw(st.integers(0, 1), label=w) for w in netlist.primary_inputs}
+    values = netlist.simulate(inputs)
+    assert values == reference_simulate(netlist, inputs)
+    classified = netlist.primary_outputs + netlist.garbage_outputs
+    recovered = netlist.simulate_inverse({w: values[w] for w in classified})
+    assert recovered == {**inputs, **netlist.constants}
+    assert check_reversibility(netlist, mode="exhaustive").ok
+    text = serialize_rnl(netlist)
+    parsed = parse_rnl(text)
+    assert serialize_rnl(parsed) == text
+    assert parsed.simulate(inputs) == values

@@ -124,6 +124,21 @@ class TestRegister:
                 model = d
             assert reg.value == model
 
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            ({"e": 1, "d0": 1}, "missing input 'd1'"),
+            ({"e": 1, "d0": 1, "d1": 2}, "input 'd1' must be 0 or 1"),
+            ({"d0": 1, "d1": 1}, "missing input 'e'"),
+        ],
+    )
+    def test_rejected_step_changes_nothing(self, inputs, message):
+        reg = Register(2)
+        reg.load_value(0b10)
+        with pytest.raises(ValueError, match=message):
+            reg.step(inputs)
+        assert (reg.state, reg.value, reg.garbage_bits_emitted) == ((0, 1), 0b10, 0)
+
     def test_cost_scales_with_width(self):
         report = Register(4).cost_report()
         assert report.gate_count == 8  # two gates per latch lane
