@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 
@@ -237,6 +238,10 @@ def _cmd_trace(args, parser) -> int:
         parser.error(f"--count must be >= 1, got {args.count}")
     if args.energy and args.count > 1:
         parser.error("--energy reports on a single run; drop --count")
+    if args.energy and args.format == "csv":
+        parser.error("--energy reports in JSON; drop --format csv")
+    if args.count > 1 and (args.x is not None or args.y is not None):
+        parser.error("--count > 1 draws random operands; drop --x/--y")
     params = MontParams.for_modulus(args.m, args.n)
     if args.count > 1:
         rng = random.Random(args.seed)
@@ -299,6 +304,35 @@ def _parse_selector(spec: str):
     return selector
 
 
+def _read_traces(path: str) -> list[energy.PowerTrace]:
+    """Load a `dpa --traces` file, checking its shape once.
+
+    The file holds one object or a list of objects, each with a
+    non-empty list of finite numbers under `samples` and, optionally, an
+    object under `metadata`.
+    """
+    with open(path) as handle:
+        raw = json.load(handle)
+    if isinstance(raw, dict):
+        raw = [raw]
+    if not isinstance(raw, list):
+        raise ValueError("traces file must hold a JSON object or a list of objects")
+    traces = []
+    for i, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise ValueError(f"trace {i} must be a JSON object, got {json.dumps(item)}")
+        samples = item.get("samples")
+        if (not isinstance(samples, list) or not samples
+                or any(type(v) is not int and not (type(v) is float and math.isfinite(v))
+                       for v in samples)):
+            raise ValueError(f"trace {i}: samples must be a non-empty list of finite numbers")
+        metadata = item.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ValueError(f"trace {i}: metadata must be a JSON object")
+        traces.append(energy.PowerTrace(tuple(samples), dict(metadata)))
+    return traces
+
+
 def _cmd_dpa(args, parser) -> int:
     if not args.demo and not args.traces:
         parser.error("dpa requires --traces FILE or --demo")
@@ -314,14 +348,7 @@ def _cmd_dpa(args, parser) -> int:
         ]
         traces = _run_traces(MontDatapath(params), pairs)
     else:
-        with open(args.traces) as handle:
-            raw = json.load(handle)
-        if isinstance(raw, dict):
-            raw = [raw]
-        traces = [
-            energy.PowerTrace(tuple(item["samples"]), dict(item.get("metadata", {})))
-            for item in raw
-        ]
+        traces = _read_traces(args.traces)
     differential = energy.dpa_diff_of_means(traces, selector)
     peak = max(range(len(differential)), key=lambda i: abs(differential[i]))
     _emit(

@@ -24,11 +24,13 @@ the final conditional subtraction is performed at word level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .arith import build_cpa
 from .bits import from_bits, to_bits
 from .gates import FEYNMAN, TOFFOLI, TSG
-from .netlist import CostReport, GateInstance, Netlist
+from .netlist import CostReport, GateInstance, Netlist, _Plan, _require_bits
 from .sequential import ClockedCircuit, Register, ShiftRegister
 
 
@@ -267,6 +269,7 @@ def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Net
         )
         garbage += [f"fa{j}a", f"fa{j}b"]
 
+    # MontDatapath.run assembles the sources in this order, constants last.
     primary_inputs = (
         [f"si{j}" for j in range(width)]
         + [f"ci{j}" for j in range(width)]
@@ -283,6 +286,19 @@ def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Net
         garbage_outputs=garbage,
         name=name,
     )
+
+
+def _stage_words(plan: _Plan, width: int) -> tuple[itemgetter, itemgetter]:
+    """Getters for a CSA stage's sum and carry words, LSB first, out of its plan's slots."""
+    return tuple(
+        itemgetter(*(plan.slot[f"{word}{j}"] for j in range(width))) for word in ("sum", "car")
+    )
+
+
+def _run_stage(plan: _Plan, sources: list[int]) -> list:
+    """Run a CSA stage on sources assembled from register state, checked once."""
+    _require_bits(sources, zip(plan.sources, sources), "input")
+    return plan.forward(sources)
 
 
 @dataclass(frozen=True)
@@ -324,8 +340,12 @@ class MontDatapath:
         n = params.n
         self.stage1 = _csa_stage(w, n, bus="y", tap_lsb=False, name="csa_stage1")
         self.stage2 = _csa_stage(w, n, bus="m", tap_lsb=True, name="csa_stage2")
-        self.stage1._require_valid()
-        self.stage2._require_valid()
+        self._plan1 = self.stage1._plan()
+        self._plan2 = self.stage2._plan()
+        self._consts1 = list(self.stage1.constants.values())
+        self._consts2 = list(self.stage2.constants.values())
+        self._sum1, self._car1 = _stage_words(self._plan1, w)
+        self._sum2, self._car2 = _stage_words(self._plan2, w)
         self.s_reg = Register(w)
         self.c_reg = Register(w)
         self.s_shift = ShiftRegister(w)
@@ -369,18 +389,9 @@ class MontDatapath:
         return sum(p.garbage_bits_emitted for p in self._parts)
 
     def _snapshot(self) -> tuple[int, ...]:
-        return tuple(b for part in self._parts for b in part.state)
+        return tuple(chain.from_iterable(part.state for part in self._parts))
 
     # -- execution ----------------------------------------------------
-
-    def _stage_inputs(self, stage_s: int, stage_c: int, bus: str, bus_value: int
-                      ) -> dict[str, int]:
-        w = self.params.register_width
-        n = self.params.n
-        values = {f"si{j}": b for j, b in enumerate(to_bits(stage_s, w))}
-        values.update({f"ci{j}": b for j, b in enumerate(to_bits(stage_c, w))})
-        values.update({f"{bus}{j}": b for j, b in enumerate(to_bits(bus_value, n))})
-        return values
 
     def run(self, x: int, y: int) -> int:
         """Clock the datapath n cycles and resolve the product."""
@@ -400,38 +411,35 @@ class MontDatapath:
         snapshots = [self._snapshot()]
         cycles = []
         for i in range(params.n):
-            xi = self.x_shift.value & 1
+            xi = self.x_shift.bits[0]
 
-            out1 = self.stage1.simulate(
-                {**self._stage_inputs(self.s_shift.value, self.c_shift.value, "y",
-                                      self.y_reg.value), "x": xi}
+            out1 = _run_stage(
+                self._plan1,
+                self.s_shift.bits + self.c_shift.bits + self.y_reg.bits + [xi] + self._consts1,
             )
-            sum1 = from_bits(out1[f"sum{j}"] for j in range(w))
-            car1 = from_bits(out1[f"car{j}"] for j in range(w))
-            _invariant(car1 >> (w - 1) == 0, "stage 1 carry spills past the register")
-            self.s_reg.load(sum1)
-            self.c_reg.load((car1 << 1) & ((1 << w) - 1))
-            s0 = self.s_reg.value & 1
+            sum1, car1 = self._sum1(out1), self._car1(out1)
+            _invariant(car1[-1] == 0, "stage 1 carry spills past the register")
+            self.s_reg._load_bits(sum1)
+            self.c_reg._load_bits((0, *car1[:-1]))  # the carry word, shifted up one place
+            s0 = self.s_reg.bits[0]
             total_after_multiplicand = self.s_reg.value + self.c_reg.value
 
-            out2 = self.stage2.simulate(
-                self._stage_inputs(self.s_reg.value, self.c_reg.value, "m",
-                                   self.m_reg.value)
+            out2 = _run_stage(
+                self._plan2, self.s_reg.bits + self.c_reg.bits + self.m_reg.bits + self._consts2
             )
-            sum2 = from_bits(out2[f"sum{j}"] for j in range(w))
-            car2 = from_bits(out2[f"car{j}"] for j in range(w))
+            sum2, car2 = from_bits(self._sum2(out2)), from_bits(self._car2(out2))
             _invariant(car2 >> (w - 1) == 0, "stage 2 carry spills past the register")
             _invariant(sum2 & 1 == 0, "stage 2 left the parity set; halving would be inexact")
             total_after_parity_clear = sum2 + (car2 << 1)
 
             self.s_shift.load_value(sum2)
-            self.s_shift.pulse(sin=0)
+            self.s_shift._pulse(0)
             self.c_shift.load_value((car2 << 1) & ((1 << w) - 1))
-            self.c_shift.pulse(sin=0)
-            self.x_shift.pulse(sin=0)
+            self.c_shift._pulse(0)
+            self.x_shift._pulse(0)
             # Holding registers see the clock too; enable stays low.
-            self.y_reg.step({"e": 0, **{f"d{j}": 0 for j in range(params.n)}})
-            self.m_reg.step({"e": 0, **{f"d{j}": 0 for j in range(params.n)}})
+            self.y_reg.hold()
+            self.m_reg.hold()
 
             cycles.append(
                 CycleRecord(

@@ -367,7 +367,9 @@ class _Plan:
 
     The slots are the primary inputs, then the constants, then each
     gate's outputs in topological order, so the sources lead the list
-    and every gate writes one contiguous run of slots.
+    and every gate writes one contiguous run of slots. `forward` runs
+    one source vector; `forward_rows` runs a batch of them (a rank of
+    latches sharing one core) held as one column of bits per slot.
     """
 
     def __init__(self, netlist: Netlist):
@@ -385,7 +387,7 @@ class _Plan:
         for g in gates:
             hi = lo + len(g.outputs)
             in_slots = [self.slot[w] for w in g.inputs]
-            self._forward.append((g.kind, _gather(in_slots), lo, hi))
+            self._forward.append((g.kind, in_slots, _gather(in_slots), lo, hi))
             inverse.append((g.kind, _gather(range(lo, hi)), in_slots))
             lo = hi
         self._inverse = inverse[::-1]
@@ -393,9 +395,23 @@ class _Plan:
     def forward(self, sources: Sequence[int]) -> list:
         """Run forwards from the source bits (inputs, then constants); return all slots."""
         bits = [*sources, *self._pad]
-        for kind, gather, lo, hi in self._forward:
+        for kind, _, gather, lo, hi in self._forward:
             bits[lo:hi] = kind.apply(gather(bits))
         return bits
+
+    def forward_rows(self, columns: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+        """Run `forward` once per row of a batch held by column.
+
+        `columns[k]` holds source k's bit in every row; the result holds
+        every slot's bits in every row, the same way. Each gate runs on
+        all rows, one `kind.apply` call per row, before the next gate.
+        """
+        if not columns or not len(columns[0]):
+            return [()] * len(self.wires)
+        cols = [*columns, *self._pad]
+        for kind, in_slots, _, lo, hi in self._forward:
+            cols[lo:hi] = zip(*map(kind.apply, zip(*[cols[s] for s in in_slots])))
+        return cols
 
     def inverse(self, outputs: Sequence[int]) -> list:
         """Run backwards from the classified output bits; return all slots.

@@ -11,8 +11,11 @@ netlist.
 Every element is a bank of such latches over one state list, and all
 latches share one validated core. Clock and enable rails may drive any
 number of latches; only data wires are subject to the single-sink
-rule, and each latch step evaluates the core on its own, so no single
-netlist contains fan-out. The element classes differ only in wiring.
+rule. The unit of work is a rank: the latches that share one enable,
+stepped together by one call that evaluates the core once per latch,
+so no single netlist contains fan-out. A register is one rank; a
+master-slave chain is two, the masters and then the slaves. The
+element classes differ only in wiring.
 
 Each latch discards two bits per step (the enable pass-through and the
 Fredkin swap residue); the running total is tracked per element because
@@ -21,7 +24,7 @@ garbage accumulates over time in sequential reversible logic.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .bits import from_bits, to_bits
 from .gates import FEYNMAN, FREDKIN
@@ -47,12 +50,22 @@ LATCH_CORE = Netlist(
 _LATCH = LATCH_CORE._plan()
 _QS, _QO = _LATCH.slot["qs"], _LATCH.slot["qo"]
 
+# Ranks of the state list: every latch, or the masters or slaves of
+# master-slave pairs.
+_ALL = slice(None)
+_MASTERS = slice(0, None, 2)
+_SLAVES = slice(1, None, 2)
+
 
 def _bit(inputs: Mapping[str, int], name: str) -> int:
     try:
         value = inputs[name]
     except KeyError:
         raise ValueError(f"missing input {name!r}") from None
+    return _input_bit(name, value)
+
+
+def _input_bit(name: str, value: int) -> int:
     if value not in (0, 1):
         raise ValueError(f"input {name!r} must be 0 or 1, got {value!r}")
     return value
@@ -74,25 +87,40 @@ class ClockedCircuit:
     """A bank of D latches: the one discrete-time sequential element.
 
     Holds the latched bits in one state list and counts latch steps;
-    subclasses supply the wiring (how many latches, and how `step`
-    drives them). Master-slave pair k uses latches 2k (master) and
-    2k+1 (slave). Instances carry mutable state; drive each instance
-    from a single stepper. `step` consumes one input map and returns
-    the observable outputs for that time step.
+    subclasses supply the wiring: how many latches, which of them are
+    observable, and which ranks `step` clocks with what data.
+    Master-slave pair k uses latches 2k (master) and 2k+1 (slave), so
+    the masters form one rank and the slaves another. Instances carry
+    mutable state; drive each instance from a single stepper. `step`
+    consumes one input map and returns the observable outputs for that
+    time step.
     """
 
     name = ""
+    #: The latches whose bits are the element's content, LSB first.
+    _observable = _ALL
 
     def __init__(self, latches: int):
         self._q = [0] * latches
         self._latch_steps = 0
 
-    def _latch(self, i: int, e: int, d: int) -> int:
-        """Step latch i once through the shared core; return its observable q."""
-        bits = _LATCH.forward((e, d, self._q[i], 0))  # sources e, d, q, then z = 0
-        self._q[i] = bits[_QS]
-        self._latch_steps += 1
-        return bits[_QO]
+    def _clock(self, latches: slice, e: int, data: Sequence[int]) -> Sequence[int]:
+        """Step a rank of latches sharing enable `e`, one data bit each.
+
+        One call runs the shared core once per latch, writes the new
+        states and returns the observable outputs in rank order.
+        """
+        q = self._q
+        held = q[latches]
+        k = len(held)
+        slots = _LATCH.forward_rows(((e,) * k, data, held, (0,) * k))  # e, d, q, then z = 0
+        q[latches] = slots[_QS]
+        self._latch_steps += k
+        return slots[_QO]
+
+    def _edge(self, cp: int, feed: Sequence[int]) -> Sequence[int]:
+        """Clock the masters on `feed` at cp, then the slaves on the masters at not-cp."""
+        return self._clock(_SLAVES, 1 - cp, self._clock(_MASTERS, cp, feed))
 
     @property
     def cores(self) -> tuple[Netlist, ...]:
@@ -105,9 +133,14 @@ class ClockedCircuit:
         return tuple(self._q)
 
     @property
+    def bits(self) -> list[int]:
+        """Observable content, LSB first."""
+        return self._q[self._observable]
+
+    @property
     def value(self) -> int:
         """Observable content as a little-endian integer."""
-        raise NotImplementedError
+        return from_bits(self.bits)
 
     @property
     def garbage_bits_emitted(self) -> int:
@@ -135,14 +168,10 @@ class DLatch(ClockedCircuit):
     def __init__(self):
         super().__init__(1)
 
-    @property
-    def value(self) -> int:
-        return self._q[0]
-
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         e = _bit(inputs, "e")
         d = _bit(inputs, "d")
-        return {"q": self._latch(0, e, d)}
+        return {"q": self._clock(_ALL, e, (d,))[0]}
 
     def load_value(self, value: int) -> None:
         self._q[0] = _one_bit(value)
@@ -161,19 +190,23 @@ class Register(ClockedCircuit):
         self.width = _check_width(width)
         super().__init__(width)
 
-    @property
-    def value(self) -> int:
-        return from_bits(self._q)
-
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         # Read every input before any latch moves, so a rejected step changes nothing.
         e = _bit(inputs, "e")
         data = [_bit(inputs, f"d{i}") for i in range(self.width)]
-        return {f"q{i}": self._latch(i, e, d) for i, d in enumerate(data)}
+        return {f"q{i}": q for i, q in enumerate(self._clock(_ALL, e, data))}
 
     def load(self, value: int) -> None:
         """Clock the value in through the latches (one step with e=1)."""
-        self.step({"e": 1, **{f"d{i}": b for i, b in enumerate(to_bits(value, self.width))}})
+        self._load_bits(to_bits(value, self.width))
+
+    def _load_bits(self, bits: Sequence[int]) -> None:
+        """As `load`, for a caller that holds the bits, LSB first."""
+        self._clock(_ALL, 1, bits)
+
+    def hold(self) -> None:
+        """One clock with the enable low (and data 0): every latch keeps its bit."""
+        self._clock(_ALL, 0, [0] * self.width)
 
     def load_value(self, value: int) -> None:
         self._q[:] = to_bits(value, self.width)
@@ -189,23 +222,21 @@ class MasterSlaveDFF(ClockedCircuit):
     """
 
     name = "dff"
+    _observable = _SLAVES
 
     def __init__(self):
         super().__init__(2)
 
-    @property
-    def value(self) -> int:
-        return self._q[1]
-
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         cp = _bit(inputs, "cp")
         d = _bit(inputs, "d")
-        return {"q": self._latch(1, 1 - cp, self._latch(0, cp, d))}
+        return {"q": self._edge(cp, (d,))[0]}
 
     def pulse(self, d: int) -> dict[str, int]:
         """One full clock pulse: evaluate at cp=1, then at cp=0."""
-        self.step({"cp": 1, "d": d})
-        return self.step({"cp": 0, "d": d})
+        d = _input_bit("d", d)
+        self._edge(1, (d,))
+        return {"q": self._edge(0, (d,))[0]}
 
     def load_value(self, value: int) -> None:
         self._q[:] = (_one_bit(value),) * 2
@@ -221,29 +252,33 @@ class ShiftRegister(ClockedCircuit):
     """
 
     name = "shiftreg"
+    _observable = _SLAVES
 
     def __init__(self, width: int):
         self.width = _check_width(width)
         super().__init__(2 * width)
 
-    @property
-    def value(self) -> int:
-        return from_bits(self._q[1::2])
-
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         cp = _bit(inputs, "cp")
         sin = _bit(inputs, "sin")
+        return _shift_outputs(self._shift(cp, sin))
+
+    def _shift(self, cp: int, sin: int) -> Sequence[int]:
         # Capture neighbours (slave outputs) before any flop moves.
-        feed = self._q[3::2] + [sin]
-        outputs = {}
-        for i, d in enumerate(feed):
-            outputs[f"q{i}"] = self._latch(2 * i + 1, 1 - cp, self._latch(2 * i, cp, d))
-        outputs["sout"] = outputs["q0"]
-        return outputs
+        return self._edge(cp, self._q[3::2] + [sin])
 
     def pulse(self, sin: int = 0) -> dict[str, int]:
-        self.step({"cp": 1, "sin": sin})
-        return self.step({"cp": 0, "sin": sin})
+        return _shift_outputs(self._pulse(_input_bit("sin", sin)))
+
+    def _pulse(self, sin: int) -> Sequence[int]:
+        self._shift(1, sin)
+        return self._shift(0, sin)
 
     def load_value(self, value: int) -> None:
-        self._q[:] = (b for b in to_bits(value, self.width) for _ in range(2))
+        self._q[_MASTERS] = self._q[_SLAVES] = to_bits(value, self.width)
+
+
+def _shift_outputs(qs: Sequence[int]) -> dict[str, int]:
+    outputs = {f"q{i}": q for i, q in enumerate(qs)}
+    outputs["sout"] = qs[0]
+    return outputs

@@ -308,6 +308,60 @@ class TestArgumentsCheckedBeforeRuns:
         assert runs == []
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--m", "7", "--x", "3", "--y", "5", "--energy", "--format", "csv"],
+            ["trace", "--m", "7", "--count", "4", "--x", "9", "--y", "9"],
+            ["trace", "--m", "7", "--count", "4", "--x", "3"],
+            ["trace", "--m", "7", "--count", "4", "--y", "5"],
+        ],
+    )
+    def test_contradictory_trace_options_rejected(self, capsys, runs, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert runs == []
+
+
+class TestDpaTracesFile:
+    """A malformed --traces file fails with an error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ([{"metadata": {"x": 1}}], "trace 0: samples must be a non-empty list"),
+            ([{"samples": [1, 2]}, {"samples": ["a", 2]}], "trace 1: samples must be"),
+            ([{"samples": [1, None]}], "samples must be a non-empty list of finite numbers"),
+            ([{"samples": [1, True]}], "samples must be a non-empty list of finite numbers"),
+            ([{"samples": [float("nan"), 1]}], "samples must be a non-empty list of finite"),
+            ([{"samples": [1, float("inf")]}], "samples must be a non-empty list of finite"),
+            ([{"samples": [1, 2]}, 7], "trace 1 must be a JSON object, got 7"),
+            ([[1, 2, 3]], "trace 0 must be a JSON object"),
+            ([{"samples": []}, {"samples": []}], "trace 0: samples must be a non-empty list"),
+            ([{"samples": [1], "metadata": [1]}], "trace 0: metadata must be a JSON object"),
+            ("samples", "traces file must hold a JSON object or a list of objects"),
+        ],
+    )
+    def test_malformed_file_is_an_error(self, capsys, tmp_path, content, message):
+        path = tmp_path / "traces.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "dpa", "--traces", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_well_formed_file_with_float_samples(self, capsys, tmp_path):
+        path = tmp_path / "traces.json"
+        traces = [
+            {"samples": [1.5, 2, 0], "metadata": {"x": 1}},
+            {"samples": [0.5, 1, 3], "metadata": {"x": 2}},
+        ]
+        path.write_text(json.dumps(traces))
+        code, out, _ = run(capsys, "dpa", "--traces", str(path))
+        assert code == 0
+        assert json.loads(out)["differential"] == [1.0, 1.0, -3.0]
+
+
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, capsys):
         _, first, _ = run(capsys, "build", "csa52", "--width", "3")

@@ -10,6 +10,8 @@ import pytest
 
 import revalu
 import revalu.montgomery as mg
+from revalu.gates import GateKind
+from revalu.netlist import NetlistError
 from revalu import (
     MontDatapath,
     MontParams,
@@ -193,6 +195,71 @@ class TestDatapath:
         datapath = MontDatapath(MontParams(7, 3))
         datapath.run(2, 4)
         assert datapath.last_run.metadata == {"x": 2, "y": 4, "m": 7, "n": 3}
+
+
+class TestDatapathWork:
+    def test_gate_evaluations_and_garbage_per_run(self, monkeypatch):
+        params = MontParams.for_modulus(0xB00B)
+        datapath = MontDatapath(params)
+        calls = {"apply": 0, "invert": 0}
+        real_apply, real_invert = GateKind.apply, GateKind.invert
+
+        def apply(self, inputs):
+            calls["apply"] += 1
+            return real_apply(self, inputs)
+
+        def invert(self, outputs):
+            calls["invert"] += 1
+            return real_invert(self, outputs)
+
+        monkeypatch.setattr(GateKind, "apply", apply)
+        monkeypatch.setattr(GateKind, "invert", invert)
+        w, n = params.register_width, params.n
+        # Latch steps per cycle: S and C load (one per bit), the S, C and
+        # X shift registers pulse (two phases through master and slave,
+        # four per bit), Y and M hold (one per bit). Each latch step
+        # evaluates the two gates of the latch core and discards two bits.
+        latch_steps = 2 * w + 4 * (2 * w + n) + 2 * n
+        garbage_before = datapath.garbage_bits_emitted
+        assert datapath.run(0x1234, 0xABCD) == mont_mult_word(0x1234, 0xABCD, params)
+        assert calls == {
+            "apply": n * (len(datapath.stage1.gates) + len(datapath.stage2.gates)
+                          + 2 * latch_steps) + len(datapath.final_adder.gates),
+            "invert": 0,
+        }
+        assert datapath.garbage_bits_emitted - garbage_before == 2 * n * latch_steps
+
+    def test_matches_word_level_for_every_small_odd_modulus(self):
+        # Every (x, y) for every odd m < 2^4: 680 runs.
+        runs = 0
+        for m in range(1, 16, 2):
+            params = MontParams.for_modulus(m)
+            datapath = MontDatapath(params)
+            for x in range(m):
+                for y in range(m):
+                    assert datapath.run(x, y) == mont_mult_word(x, y, params)
+                    assert datapath.last_run.cycles == mont_mult_trace(x, y, params).cycles
+                    runs += 1
+        assert runs == 680
+
+    @pytest.mark.parametrize(
+        "part, latch, wire",
+        [("y_reg", 1, "y1"), ("m_reg", 2, "m2"), ("x_shift", 1, "x"),
+         ("s_shift", 3, "si1"), ("c_shift", 5, "ci2")],
+    )
+    def test_non_bit_forced_into_register_state_raises(self, part, latch, wire):
+        datapath = MontDatapath(MontParams(7, 3))
+        element = getattr(datapath, part)
+        load = element.load_value
+
+        def forced(value):
+            load(value)
+            element._q[latch] = 2
+
+        element.load_value = forced
+        with pytest.raises(NetlistError, match=f"input {wire} must be 0 or 1, got 2"):
+            datapath.run(3, 5)
+        assert datapath.last_run is None
 
 
 class TestDatapathInvariants:

@@ -350,3 +350,22 @@ def test_random_netlists_simulate_invert_verify_and_round_trip(netlist, data):
     parsed = parse_rnl(text)
     assert serialize_rnl(parsed) == text
     assert parsed.simulate(inputs) == values
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_netlists(), st.data())
+def test_random_netlists_forward_rows_match_reference(netlist, data):
+    plan = netlist._plan()
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(netlist.primary_inputs),
+                                       max_size=len(netlist.primary_inputs)), max_size=5))
+    constants = list(netlist.constants.values())
+    columns = [list(col) for col in zip(*(row + constants for row in rows))]
+    if not rows:
+        columns = [[] for _ in plan.sources]
+    slots = plan.forward_rows(columns)
+    assert len(slots) == len(plan.wires)
+    for r, row in enumerate(rows):
+        expected = reference_simulate(netlist, dict(zip(netlist.primary_inputs, row)))
+        assert {w: slots[k][r] for k, w in enumerate(plan.wires)} == expected
+    if not rows:
+        assert all(len(col) == 0 for col in slots)
