@@ -103,19 +103,23 @@ def erasure_bits(circuit: Netlist | IrreversibleNetlist) -> float:
     return erasure_report(circuit).internal_bits
 
 
+def _require_non_negative(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and non-negative, got {value}")
+
+
 def landauer_energy(bits: float, temperature_k: float) -> float:
     """Minimum heat for erasing `bits` at temperature T: bits * kT ln 2."""
-    if bits < 0:
-        raise ValueError(f"bits must be non-negative, got {bits}")
-    if temperature_k <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature_k}")
+    _require_non_negative("bits", bits)
+    if not (math.isfinite(temperature_k) and temperature_k > 0):
+        raise ValueError(f"temperature must be finite and positive, got {temperature_k}")
     return bits * K_BOLTZMANN * temperature_k * math.log(2)
 
 
 def esig_energy(capacitance_f: float, voltage_v: float) -> float:
     """Signal energy of one voltage-coded node: C * V^2 / 2."""
-    if capacitance_f < 0 or voltage_v < 0:
-        raise ValueError("capacitance and voltage must be non-negative")
+    _require_non_negative("capacitance", capacitance_f)
+    _require_non_negative("voltage", voltage_v)
     return 0.5 * capacitance_f * voltage_v * voltage_v
 
 

@@ -253,6 +253,24 @@ class TestTraceAndDpa:
         assert payload["energy"]["landauer_joules"] == 0.0
         assert payload["energy"]["signal_transitions"] > 0
 
+    @pytest.mark.parametrize(
+        "option, value, named",
+        [
+            ("--temp-k", "nan", "temperature"),
+            ("--temp-k", "inf", "temperature"),
+            ("--cap-f", "nan", "capacitance"),
+            ("--cap-f", "inf", "capacitance"),
+            ("--vdd", "nan", "voltage"),
+            ("--vdd", "inf", "voltage"),
+        ],
+    )
+    def test_trace_energy_rejects_non_finite_parameter(self, capsys, option, value, named):
+        code, out, err = run(
+            capsys, "trace", "--x", "3", "--y", "5", "--m", "7", "--energy", option, value
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {named} must be finite")
+
     def test_trace_file_then_dpa(self, capsys, tmp_path):
         path = tmp_path / "traces.json"
         code, _, _ = run(

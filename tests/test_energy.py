@@ -117,6 +117,16 @@ class TestLandauer:
         with pytest.raises(ValueError, match="bits"):
             landauer_energy(-1, 300)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bits_rejected(self, value):
+        with pytest.raises(ValueError, match="bits must be finite"):
+            landauer_energy(value, 300)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_temperature_rejected(self, value):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            landauer_energy(1, value)
+
 
 class TestEsig:
     def test_femtofarad_at_one_volt(self):
@@ -131,6 +141,16 @@ class TestEsig:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             esig_energy(-1e-15, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capacitance_rejected(self, value):
+        with pytest.raises(ValueError, match="capacitance must be finite"):
+            esig_energy(value, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_voltage_rejected(self, value):
+        with pytest.raises(ValueError, match="voltage must be finite"):
+            esig_energy(1e-15, value)
 
 
 class TestSwitchingTrace:

@@ -1,6 +1,7 @@
 """Netlist validation, simulation, inverse simulation, and cost tests."""
 
 import json
+import random
 from itertools import product
 
 import pytest
@@ -13,9 +14,11 @@ from revalu import (
     TOFFOLI,
     TSG,
     GateInstance,
+    GateKind,
     Netlist,
     NetlistError,
     build_cpa,
+    build_csa42,
     build_full_adder,
     check_reversibility,
     parse_rnl,
@@ -226,6 +229,121 @@ class TestReversibilityCheck:
         assert report.mode == "exhaustive" and report.ok and report.cases == 16
 
 
+class LyingGate(GateKind):
+    """Identity gate whose `invert` flips bit 0 when its last `lie_bits` outputs are 1."""
+
+    def __init__(self, arity: int, lie_bits: int):
+        super().__init__("LIAR", arity, {p: p for p in product((0, 1), repeat=arity)})
+        self.lie_bits = lie_bits
+
+    def invert(self, outputs):
+        bits = super().invert(outputs)
+        return (1 - bits[0], *bits[1:]) if all(outputs[-self.lie_bits:]) else bits
+
+
+def lying_netlist(high_inputs: int, lie_bits: int) -> Netlist:
+    """`high_inputs` pass-through wires, then an 8-bit liar on 7 inputs and a constant.
+
+    Sources are the inputs then the constant, so the liar sees the low 8
+    bits of the case index and lies on 2^(8 - lie_bits) cases per 256.
+    """
+    high = [f"h{k}" for k in range(high_inputs)]
+    low = [f"l{k}" for k in range(7)]
+    outs = [f"o{k}" for k in range(8)]
+    return Netlist(
+        primary_inputs=high + low,
+        constants={"z": 0},
+        gates=[GateInstance(LyingGate(8, lie_bits), (*low, "z"), outs)],
+        primary_outputs=high + outs[:7],
+        garbage_outputs=outs[7:],
+        name="liar",
+    )
+
+
+def reference_failures(netlist: Netlist, mode: str, samples: int = 1000, seed: int = 0):
+    """The failure list of `check_reversibility`, one case at a time through the scalar API."""
+    sources = (*netlist.primary_inputs, *netlist.constants)
+    classified = (*netlist.primary_outputs, *netlist.garbage_outputs)
+    if mode == "exhaustive":
+        vectors = product((0, 1), repeat=len(sources))
+    else:
+        rng = random.Random(seed)
+        vectors = (tuple(rng.randint(0, 1) for _ in sources) for _ in range(samples))
+    failures, images = [], set()
+    for vec in vectors:
+        values = netlist._evaluate(dict(zip(sources, vec)))
+        out = tuple(values[w] for w in classified)
+        images.add(out)
+        recovered = netlist.simulate_inverse(dict(zip(classified, out)))
+        back = tuple(recovered[w] for w in sources)
+        if back != vec:
+            failures.append(f"round trip failed for sources {vec}: got {back}")
+            if len(failures) == 10:
+                break
+    cases = 1 << len(sources)
+    if mode == "exhaustive" and not failures and len(images) != cases:
+        failures.append(f"output image has {len(images)} distinct vectors, expected {cases}")
+    return failures
+
+
+class TestReversibilityFailures:
+    @pytest.mark.parametrize(
+        "high_inputs, lie_bits",
+        [(1, 8), (4, 8), (1, 3), (0, 8)],
+        ids=["2-failures-2-blocks", "capped-across-blocks", "capped-in-a-block", "one-block"],
+    )
+    def test_exhaustive_failures_match_per_case_reference(self, high_inputs, lie_bits):
+        netlist = lying_netlist(high_inputs, lie_bits)
+        report = check_reversibility(netlist, mode="exhaustive")
+        expected = reference_failures(netlist, "exhaustive")
+        assert report.mode == "exhaustive" and report.cases == 1 << (high_inputs + 8)
+        assert not report.ok and expected
+        assert list(report.failures) == expected
+
+    @pytest.mark.parametrize("samples, seed", [(3000, 5), (700, 2), (1, 0)])
+    def test_random_failures_match_per_case_reference(self, samples, seed):
+        netlist = lying_netlist(4, 8)
+        report = check_reversibility(netlist, mode="random", samples=samples, seed=seed)
+        expected = reference_failures(netlist, "random", samples, seed)
+        assert report.mode == "random" and report.cases == samples
+        assert report.ok == (not expected)
+        assert list(report.failures) == expected
+
+    def test_failure_text(self):
+        report = check_reversibility(lying_netlist(1, 8), mode="exhaustive")
+        assert report.failures[0] == (
+            "round trip failed for sources (0, 1, 1, 1, 1, 1, 1, 1, 1): "
+            "got (0, 0, 1, 1, 1, 1, 1, 1, 1)"
+        )
+        assert len(report.failures) == 2
+
+
+@pytest.mark.parametrize("build", [lambda: build_cpa(4), lambda: build_csa42(2)],
+                         ids=["cpa4", "csa42_2"])
+def test_gate_evaluations_per_check(monkeypatch, build):
+    netlist = build()
+    calls = {"apply": 0, "invert": 0}
+    real_apply, real_invert = GateKind.apply, GateKind.invert
+
+    def apply(self, inputs):
+        calls["apply"] += 1
+        return real_apply(self, inputs)
+
+    def invert(self, outputs):
+        calls["invert"] += 1
+        return real_invert(self, outputs)
+
+    monkeypatch.setattr(GateKind, "apply", apply)
+    monkeypatch.setattr(GateKind, "invert", invert)
+    report = check_reversibility(netlist, mode="exhaustive")
+    assert report.ok and report.cases == 1 << 13
+    per_pass = report.cases * len(netlist.gates)
+    assert calls == {"apply": per_pass, "invert": per_pass}
+    calls.update(apply=0, invert=0)
+    assert check_reversibility(netlist, mode="random", samples=300).ok
+    assert calls == {"apply": 300 * len(netlist.gates), "invert": 300 * len(netlist.gates)}
+
+
 class TestCostReport:
     def test_single_gate_adder(self):
         assert build_full_adder().cost_report().as_dict() == {
@@ -367,5 +485,28 @@ def test_random_netlists_forward_rows_match_reference(netlist, data):
     for r, row in enumerate(rows):
         expected = reference_simulate(netlist, dict(zip(netlist.primary_inputs, row)))
         assert {w: slots[k][r] for k, w in enumerate(plan.wires)} == expected
+    if not rows:
+        assert all(len(col) == 0 for col in slots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_netlists(), st.data())
+def test_random_netlists_inverse_rows_match_scalar_inverse(netlist, data):
+    plan = netlist._plan()
+    width = len(plan.sources)
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
+                              max_size=5))
+
+    def gather_outputs(slots):
+        return [slots[s] for s in plan.output_slots]
+
+    columns = [list(col) for col in zip(*rows)] if rows else [[] for _ in plan.sources]
+    forward = plan.forward_rows(columns)
+    slots = plan.inverse_rows(gather_outputs(forward))
+    assert len(slots) == len(plan.wires)
+    for r, row in enumerate(rows):
+        expected = plan.inverse(gather_outputs(plan.forward(row)))
+        assert [slots[k][r] for k in range(len(plan.wires))] == expected
+        assert expected[:width] == row
     if not rows:
         assert all(len(col) == 0 for col in slots)
