@@ -253,6 +253,9 @@ def _cmd_trace(args, parser) -> int:
         if args.x is None or args.y is None:
             parser.error("trace requires --x and --y (or --count > 1)")
         pairs = [(args.x, args.y)]
+    if args.energy:  # refuse bad energy parameters before the run, with energy_report's texts
+        energy.landauer_energy(0, args.temp_k)
+        energy.esig_energy(args.cap_f, args.vdd)
     datapath = MontDatapath(params)
     traces = _run_traces(datapath, pairs)
 

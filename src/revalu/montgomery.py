@@ -1,9 +1,10 @@
 """Montgomery modular multiplication, word-level and gate-level.
 
-The word-level routine keeps the running value in carry-save form: two
-words S and C whose sum is the partial product. Each scan step adds
-x_i * Y, then adds s0 * M to clear the parity bit (M is odd, so adding
-M flips parity), then halves both words. After n steps S + C equals
+The word-level scan (`_scan`, run by both `mont_mult_word` and
+`mont_mult_trace`) keeps the running value in carry-save form: words S
+and C whose sum is the partial product. Each step adds x_i * Y, then
+s0 * M to clear the parity bit (M is odd, so adding M flips parity),
+checks the parity and halves both words. After n steps S + C equals
 X * Y * 2^(-n) modulo M, up to one final conditional subtraction.
 
 The gate-level datapath mirrors that loop with reversible hardware:
@@ -23,6 +24,7 @@ the final conditional subtraction is performed at word level.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -85,11 +87,6 @@ def _check_operand(name: str, value: int, params: MontParams) -> None:
         )
 
 
-def _csa_words(u: int, v: int, w: int) -> tuple[int, int]:
-    """Carry-save step: exact sum split into an XOR word and a carry word."""
-    return u ^ v ^ w, ((u & v) | (u & w) | (v & w)) << 1
-
-
 @dataclass(frozen=True)
 class CycleRecord:
     """One scan step of the multiplier loop."""
@@ -112,58 +109,58 @@ class MontTrace:
     product: int
 
 
-def mont_mult_word(x: int, y: int, params: MontParams) -> int:
-    """Compute x * y * 2^(-n) mod M by the carry-save scan."""
-    _check_operand("x", x, params)
-    _check_operand("y", y, params)
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # digits "0"/"1" to bytes 0/1
+
+
+def _scan(x: int, y: int, params: MontParams):
+    """Yield (x_i, s0, S1, C1, S2, C2) for each step of the carry-save scan.
+
+    S1, C1 follow stage 1 (+ x_i * Y) and S2, C2 stage 2 (+ s0 * M),
+    before the halving; x is read once, LSB first. C2 is kept unshifted:
+    stage 2's carry word is C2 << 1, whose low bit is always 0, and the
+    halving undoes that shift. So the parity check, made on every step
+    and also under `python -O`, looks at S2 alone: a check on the carry
+    word's low bit could never fail.
+    """
     m = params.modulus
     s = c = 0
-    for i in range(params.n):
-        if (x >> i) & 1:
-            s, c = _csa_words(s, c, y)
-        else:
-            s, c = _csa_words(s, c, 0)
-        if s & 1:
-            s, c = _csa_words(s, c, m)
-        else:
-            s, c = _csa_words(s, c, 0)
-        # Adding M when the parity bit is set makes both words even,
-        # so the halving below is exact.
-        if s & 1 or c & 1:
+    for xi in format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]:
+        t = s ^ c  # majority(s, c, a) = (s & c) | ((s ^ c) & a)
+        s1 = t ^ y if xi else t
+        c1 = ((s & c) | (t & y)) << 1 if xi else (s & c) << 1
+        s0 = s1 & 1
+        t = s1 ^ c1
+        s2 = t ^ m if s0 else t
+        c = (s1 & c1) | (t & m) if s0 else s1 & c1
+        # Adding M when the parity bit is set makes S even: the halving is exact.
+        if s2 & 1:
             raise InvariantError("parity set before halving; halving would be inexact")
-        s >>= 1
-        c >>= 1
-    p = s + c
-    if p >= m:
-        p -= m
-    return p
+        s = s2 >> 1
+        yield xi, s0, s1, c1, s2, c
+
+
+def mont_mult_word(x: int, y: int, params: MontParams) -> int:
+    """Compute x * y * 2^(-n) mod M by the carry-save scan, drained in C."""
+    _check_operand("x", x, params)
+    _check_operand("y", y, params)
+    *_, s2, c = deque(_scan(x, y, params), maxlen=1)[0]
+    p = (s2 >> 1) + c
+    return p - params.modulus if p >= params.modulus else p
 
 
 def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
-    """As `mont_mult_word`, recording the per-cycle register values."""
+    """As `mont_mult_word`, recording each step; checks S + C < 2M after each halving."""
     _check_operand("x", x, params)
     _check_operand("y", y, params)
     m = params.modulus
-    s = c = 0
     cycles = []
-    for i in range(params.n):
-        xi = (x >> i) & 1
-        s, c = _csa_words(s, c, y if xi else 0)
-        t3 = s + c
-        s0 = s & 1
-        s, c = _csa_words(s, c, m if s0 else 0)
-        t4 = s + c
-        if s & 1 or c & 1:
-            raise InvariantError("parity set before halving; halving would be inexact")
-        s >>= 1
-        c >>= 1
+    for i, (xi, s0, s1, c1, s2, c) in enumerate(_scan(x, y, params)):
+        s = s2 >> 1
         if s + c >= 2 * m:
             raise InvariantError("running sum S + C reached 2M")
-        cycles.append(CycleRecord(i, xi, s0, t3, t4, s, c))
+        cycles.append(CycleRecord(i, xi, s0, s1 + c1, s2 + (c << 1), s, c))
     p = s + c
-    if p >= m:
-        p -= m
-    return MontTrace(params, x, y, tuple(cycles), p)
+    return MontTrace(params, x, y, tuple(cycles), p - m if p >= m else p)
 
 
 def to_mont(x: int, params: MontParams) -> int:

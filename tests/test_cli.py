@@ -319,6 +319,18 @@ class TestArgumentsCheckedBeforeRuns:
         assert excinfo.value.code == 2
         assert runs == []
 
+    @pytest.mark.parametrize(
+        "option, named",
+        [("--temp-k", "temperature"), ("--cap-f", "capacitance"), ("--vdd", "voltage")],
+    )
+    def test_energy_parameter_rejected_before_any_run(self, capsys, runs, option, named):
+        code, out, err = run(
+            capsys, "trace", "--m", "7", "--x", "3", "--y", "5", "--energy", option, "nan"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {named} must be finite")
+        assert runs == []
+
     def test_bad_selector_rejected_before_any_run(self, capsys, runs):
         code, out, err = run(capsys, "dpa", "--demo", "--m", "7", "--select", "x:z")
         assert code == 1 and out == ""

@@ -7,6 +7,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import revalu
 import revalu.montgomery as mg
@@ -26,6 +28,44 @@ from revalu import (
 def oracle_product(x, y, m, n):
     # Direct definition: x * y * R^-1 mod m with R = 2^n.
     return (x * y * pow(1 << n, -1, m)) % m
+
+
+def _csa_words(u, v, w):
+    """Carry-save step: exact sum split into an XOR word and a carry word."""
+    return u ^ v ^ w, ((u & v) | (u & w) | (v & w)) << 1
+
+
+def reference_scan(x, y, params):
+    """The scan by one `_csa_words` call per stage and x read by shifts: (records, product)."""
+    m = params.modulus
+    s = c = 0
+    cycles = []
+    for i in range(params.n):
+        xi = (x >> i) & 1
+        s, c = _csa_words(s, c, y if xi else 0)
+        t3 = s + c
+        s0 = s & 1
+        s, c = _csa_words(s, c, m if s0 else 0)
+        t4 = s + c
+        assert s & 1 == 0 and c & 1 == 0
+        s >>= 1
+        c >>= 1
+        cycles.append(mg.CycleRecord(i, xi, s0, t3, t4, s, c))
+    p = s + c
+    if p >= m:
+        p -= m
+    return tuple(cycles), p
+
+
+@st.composite
+def scan_cases(draw):
+    """An odd modulus of 1-1100 bits, a scan length up to 3 bits past it, x and y below it."""
+    bits = draw(st.integers(1, 1100))
+    m = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    n = draw(st.integers(bits, bits + 3))
+    x = draw(st.integers(0, m - 1))
+    y = draw(st.integers(0, m - 1))
+    return x, y, MontParams(m, n)
 
 
 class TestParams:
@@ -84,6 +124,24 @@ class TestWordLevel:
         for x in range(13):
             for y in range(13):
                 assert 0 <= mont_mult_word(x, y, params) < 13
+
+    def test_scan_longer_than_modulus(self):
+        rng = random.Random(23)
+        m = rng.getrandbits(200) | (1 << 199) | 1
+        params = MontParams(m, 205)
+        for _ in range(20):
+            x, y = rng.randrange(m), rng.randrange(m)
+            assert mont_mult_word(x, y, params) == oracle_product(x, y, m, 205)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    def test_matches_reference_scan(self, case):
+        x, y, params = case
+        cycles, product = reference_scan(x, y, params)
+        assert mont_mult_word(x, y, params) == product
+        trace = mont_mult_trace(x, y, params)
+        assert trace.cycles == cycles
+        assert trace.product == product
 
 
 class TestLoopInvariants:
@@ -360,6 +418,14 @@ class TestExponentiation:
             a = rng.randrange(modulus)
             b = rng.randrange(1 << 32)
             assert mont_exp(a, b, modulus) == pow(a, b, modulus)
+
+    def test_random_1024_bit(self):
+        rng = random.Random(29)
+        for _ in range(3):
+            modulus = rng.getrandbits(1024) | (1 << 1023) | 1
+            a = rng.randrange(modulus)
+            for b in (65537, rng.getrandbits(16)):
+                assert mont_exp(a, b, modulus) == pow(a, b, modulus)
 
     def test_even_modulus_rejected(self):
         with pytest.raises(ValueError, match="odd"):
