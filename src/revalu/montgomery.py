@@ -32,7 +32,7 @@ from operator import itemgetter
 from .arith import build_cpa
 from .bits import from_bits, to_bits
 from .gates import FEYNMAN, TOFFOLI, TSG
-from .netlist import CostReport, GateInstance, Netlist, _Plan, _require_bits
+from .netlist import CostReport, GateInstance, Netlist, _require_bits
 from .sequential import ClockedCircuit, Register, ShiftRegister
 
 
@@ -285,17 +285,24 @@ def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Net
     )
 
 
-def _stage_words(plan: _Plan, width: int) -> tuple[itemgetter, itemgetter]:
-    """Getters for a CSA stage's sum and carry words, LSB first, out of its plan's slots."""
-    return tuple(
+def _stage_runner(stage: Netlist, width: int):
+    """Runner for a CSA stage: register bits in, sum and carry bits (LSB first) out.
+
+    The runner checks the bits it is given once, then runs the stage's
+    plan on them with the stage's constants appended.
+    """
+    plan = stage._plan()
+    consts = list(stage.constants.values())
+    sums, cars = (
         itemgetter(*(plan.slot[f"{word}{j}"] for j in range(width))) for word in ("sum", "car")
     )
 
+    def run(bits: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        _require_bits(bits, zip(plan.sources, bits), "input")
+        out = plan.forward(bits + consts)
+        return sums(out), cars(out)
 
-def _run_stage(plan: _Plan, sources: list[int]) -> list:
-    """Run a CSA stage on sources assembled from register state, checked once."""
-    _require_bits(sources, zip(plan.sources, sources), "input")
-    return plan.forward(sources)
+    return run
 
 
 @dataclass(frozen=True)
@@ -337,12 +344,8 @@ class MontDatapath:
         n = params.n
         self.stage1 = _csa_stage(w, n, bus="y", tap_lsb=False, name="csa_stage1")
         self.stage2 = _csa_stage(w, n, bus="m", tap_lsb=True, name="csa_stage2")
-        self._plan1 = self.stage1._plan()
-        self._plan2 = self.stage2._plan()
-        self._consts1 = list(self.stage1.constants.values())
-        self._consts2 = list(self.stage2.constants.values())
-        self._sum1, self._car1 = _stage_words(self._plan1, w)
-        self._sum2, self._car2 = _stage_words(self._plan2, w)
+        self._run1 = _stage_runner(self.stage1, w)
+        self._run2 = _stage_runner(self.stage2, w)
         self.s_reg = Register(w)
         self.c_reg = Register(w)
         self.s_shift = ShiftRegister(w)
@@ -410,21 +413,15 @@ class MontDatapath:
         for i in range(params.n):
             xi = self.x_shift.bits[0]
 
-            out1 = _run_stage(
-                self._plan1,
-                self.s_shift.bits + self.c_shift.bits + self.y_reg.bits + [xi] + self._consts1,
-            )
-            sum1, car1 = self._sum1(out1), self._car1(out1)
+            sum1, car1 = self._run1(self.s_shift.bits + self.c_shift.bits + self.y_reg.bits + [xi])
             _invariant(car1[-1] == 0, "stage 1 carry spills past the register")
             self.s_reg._load_bits(sum1)
             self.c_reg._load_bits((0, *car1[:-1]))  # the carry word, shifted up one place
             s0 = self.s_reg.bits[0]
             total_after_multiplicand = self.s_reg.value + self.c_reg.value
 
-            out2 = _run_stage(
-                self._plan2, self.s_reg.bits + self.c_reg.bits + self.m_reg.bits + self._consts2
-            )
-            sum2, car2 = from_bits(self._sum2(out2)), from_bits(self._car2(out2))
+            sum2, car2 = self._run2(self.s_reg.bits + self.c_reg.bits + self.m_reg.bits)
+            sum2, car2 = from_bits(sum2), from_bits(car2)
             _invariant(car2 >> (w - 1) == 0, "stage 2 carry spills past the register")
             _invariant(sum2 & 1 == 0, "stage 2 left the parity set; halving would be inexact")
             total_after_parity_clear = sum2 + (car2 << 1)

@@ -1,9 +1,13 @@
 """Command-line surface tests, driven through main() for exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import revalu
 from revalu import MontDatapath
 from revalu.cli import main
 
@@ -404,3 +408,30 @@ class TestDeterminism:
         _, first, _ = run(capsys, "verify", str(path), "--samples", "20")
         _, second, _ = run(capsys, "verify", str(path), "--samples", "20")
         assert first == second
+
+    def test_verify_violations_independent_of_hash_seed(self, tmp_path):
+        # Two unclassified outputs; their order once followed set iteration.
+        path = tmp_path / "dangling.rnl"
+        path.write_text(
+            "input a b c d\n"
+            "gate FG a b -> x1 y1\n"
+            "gate FG c d -> x2 y2\n"
+            "gate FG x1 x2 -> p1 p2\n"
+            "output y1 y2\n"
+        )
+        src = os.path.dirname(os.path.dirname(revalu.__file__))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+            result = subprocess.run(
+                [sys.executable, "-m", "revalu.cli", "verify", str(path)],
+                capture_output=True, env=env, timeout=60,
+            )
+            assert result.returncode == 1, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        violations = json.loads(outputs[0])["validation"]["violations"]
+        assert [v["detail"] for v in violations] == [
+            "gate output p1 is neither consumed nor classified",
+            "gate output p2 is neither consumed nor classified",
+        ]

@@ -17,10 +17,12 @@ from revalu.netlist import NetlistError
 from revalu import (
     MontDatapath,
     MontParams,
+    build_cpa,
     from_mont,
     mont_exp,
     mont_mult_trace,
     mont_mult_word,
+    serialize_rnl,
     to_mont,
 )
 
@@ -253,6 +255,47 @@ class TestDatapath:
         datapath = MontDatapath(MontParams(7, 3))
         datapath.run(2, 4)
         assert datapath.last_run.metadata == {"x": 2, "y": 4, "m": 7, "n": 3}
+
+
+class TestDatapathsOfOneWidth:
+    """Datapaths with one scan length and different moduli run independently."""
+
+    def test_interleaved_runs_match_word_level(self):
+        datapaths = [MontDatapath(MontParams(m, 16)) for m in (0xB00B, 0xC5A7)]
+        rng = random.Random(17)
+        for _ in range(6):
+            for datapath in datapaths:
+                params = datapath.params
+                x, y = rng.randrange(params.modulus), rng.randrange(params.modulus)
+                assert datapath.run(x, y) == mont_mult_word(x, y, params)
+                assert datapath.last_run.cycles == mont_mult_trace(x, y, params).cycles
+        for datapath in datapaths:
+            assert datapath.last_run.modulus == datapath.params.modulus
+
+    def test_garbage_counted_per_datapath(self):
+        first = MontDatapath(MontParams(0xB00B, 16))
+        second = MontDatapath(MontParams(0xC5A7, 16))
+        second.run(3, 5)
+        assert first.garbage_bits_emitted == 0
+        first.run(3, 5)
+        per_run = first.garbage_bits_emitted
+        assert per_run > 0 and second.garbage_bits_emitted == per_run
+        second.run(7, 11)
+        assert first.garbage_bits_emitted == per_run
+        assert second.garbage_bits_emitted == 2 * per_run
+
+    def test_stages_equal_fresh_builds_after_a_run(self):
+        params = MontParams(0xB00B, 16)
+        datapath = MontDatapath(params)
+        datapath.run(0x1234, 0xABCD)
+        w, n = params.register_width, params.n
+        fresh = {
+            "stage1": mg._csa_stage(w, n, bus="y", tap_lsb=False, name="csa_stage1"),
+            "stage2": mg._csa_stage(w, n, bus="m", tap_lsb=True, name="csa_stage2"),
+            "final_adder": build_cpa(w),
+        }
+        for name, netlist in fresh.items():
+            assert serialize_rnl(getattr(datapath, name)) == serialize_rnl(netlist)
 
 
 class TestDatapathWork:

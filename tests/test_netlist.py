@@ -260,6 +260,28 @@ def lying_netlist(high_inputs: int, lie_bits: int) -> Netlist:
     )
 
 
+class MergingGate(GateKind):
+    """Maps both 10 and 11 to 10, so it is not injective; `invert` returns one preimage."""
+
+    def __init__(self):
+        super().__init__("MERGE", 2, {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 0),
+                                      (1, 1): (1, 0)})
+
+    def invert(self, outputs):
+        return tuple(outputs)  # for 10, the preimage 10; 11 is never an output
+
+
+def merging_netlist(high_inputs: int) -> Netlist:
+    """`high_inputs` pass-through wires, then a `MergingGate` on two inputs."""
+    high = [f"h{k}" for k in range(high_inputs)]
+    return Netlist(
+        primary_inputs=high + ["a", "b"],
+        gates=[GateInstance(MergingGate(), ("a", "b"), ("x", "y"))],
+        primary_outputs=high + ["x", "y"],
+        name="merge",
+    )
+
+
 def reference_failures(netlist: Netlist, mode: str, samples: int = 1000, seed: int = 0):
     """The failure list of `check_reversibility`, one case at a time through the scalar API."""
     sources = (*netlist.primary_inputs, *netlist.constants)
@@ -308,6 +330,18 @@ class TestReversibilityFailures:
         assert report.mode == "random" and report.cases == samples
         assert report.ok == (not expected)
         assert list(report.failures) == expected
+
+    @pytest.mark.parametrize("high_inputs", [0, 9], ids=["one-failure", "capped-in-a-block"])
+    def test_non_injective_gate_fails_by_round_trip(self, high_inputs):
+        # The reference model also checks the output image; `check_reversibility`
+        # relies on the round trip alone and must report the same failures.
+        netlist = merging_netlist(high_inputs)
+        report = check_reversibility(netlist, mode="exhaustive")
+        expected = reference_failures(netlist, "exhaustive")
+        assert report.mode == "exhaustive" and report.cases == 1 << (high_inputs + 2)
+        assert not report.ok and expected
+        assert list(report.failures) == expected
+        assert all(f.startswith("round trip failed") for f in report.failures)
 
     def test_failure_text(self):
         report = check_reversibility(lying_netlist(1, 8), mode="exhaustive")
