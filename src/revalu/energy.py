@@ -5,6 +5,7 @@ uniform input distribution to the induced output distribution. A
 bijective gate maps the uniform distribution to itself and erases
 exactly zero; a 2-input AND erases 2 - H(1/4, 3/4) ~ 1.189 bits, more
 than the naive one-bit port-count loss, and both figures are reported.
+A gate kind's table is fixed, so its loss is computed once per kind.
 Garbage outputs of reversible circuits are not erased inside the
 circuit but must eventually be discarded; they are totalled separately
 as deferred erasure.
@@ -22,12 +23,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from statistics import fmean
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .arith import IrreversibleNetlist
 from .bits import hamming_distance
+from .gates import GateKind
 from .netlist import Netlist
 
 #: Boltzmann constant, J/K (exact SI value).
@@ -43,6 +46,12 @@ def _entropy(counts: Iterable[int]) -> float:
 
 def _gate_loss_from_outputs(n_inputs: int, outputs: Iterable) -> float:
     return n_inputs - _entropy(Counter(outputs).values())
+
+
+@cache
+def _kind_loss(kind: GateKind) -> float:
+    """Entropy drop of one gate kind, computed once: its table is fixed at construction."""
+    return _gate_loss_from_outputs(kind.arity, kind.truth_table.values())
 
 
 @dataclass(frozen=True)
@@ -76,9 +85,7 @@ def erasure_report(circuit: Netlist | IrreversibleNetlist) -> ErasureReport:
                     f"gate {g.kind.name} has {g.kind.arity} inputs, "
                     f"too many to enumerate (limit {_MAX_GATE_INPUTS})"
                 )
-            internal += _gate_loss_from_outputs(
-                g.kind.arity, g.kind.truth_table.values()
-            )
+            internal += _kind_loss(g.kind)
             # Reversible gates have as many outputs as inputs.
         deferred = len(circuit.garbage_outputs)
     elif isinstance(circuit, IrreversibleNetlist):

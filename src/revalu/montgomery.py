@@ -20,6 +20,12 @@ the per-cycle cores are ordinary valid reversible netlists. X is
 consumed bit-serially out of its own shift register. The closing
 carry-propagate addition P = S + C runs on a gate-level ripple adder;
 the final conditional subtraction is performed at word level.
+
+Each datapath builds, validates and compiles its own two stages and
+final adder when it is constructed, and runs them on register bits
+straight through their plans. Register contents stay bit lists from
+cycle to cycle; they become ints only for the cycle records and the
+invariants.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
+from typing import Sequence
 
 from .arith import build_cpa
-from .bits import from_bits, to_bits
+# to_bits is re-exported; perfbench's tracer wraps it at this binding site.
+from .bits import _BIT_VALUES, from_bits, to_bits  # noqa: F401
 from .gates import FEYNMAN, TOFFOLI, TSG
 from .netlist import CostReport, GateInstance, Netlist, _require_bits
 from .sequential import ClockedCircuit, Register, ShiftRegister
@@ -87,7 +95,7 @@ def _check_operand(name: str, value: int, params: MontParams) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CycleRecord:
     """One scan step of the multiplier loop."""
 
@@ -99,6 +107,19 @@ class CycleRecord:
     s: int
     c: int
 
+    def __init__(self, index, x_bit, s0, total_after_multiplicand, total_after_parity_clear, s, c):
+        # One dict in place of the generated one-field-at-a-time setattrs,
+        # which took most of a trace's time; the record stays frozen.
+        object.__setattr__(self, "__dict__", {
+            "index": index,
+            "x_bit": x_bit,
+            "s0": s0,
+            "total_after_multiplicand": total_after_multiplicand,
+            "total_after_parity_clear": total_after_parity_clear,
+            "s": s,
+            "c": c,
+        })
+
 
 @dataclass(frozen=True)
 class MontTrace:
@@ -107,9 +128,6 @@ class MontTrace:
     y: int
     cycles: tuple[CycleRecord, ...]
     product: int
-
-
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # digits "0"/"1" to bytes 0/1
 
 
 def _scan(x: int, y: int, params: MontParams):
@@ -214,12 +232,18 @@ def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Net
     LSB input `si0` (tap_lsb=True); Feynman chains replicate it for the
     Toffoli AND row, which keeps every wire single-sink.
     """
+    # Each wire name is one string object wherever it appears, so its
+    # hash is computed once and dict lookups on it match by identity.
+    si, ci, sums, cars = (
+        [f"{word}{j}" for j in range(width)] for word in ("si", "ci", "sum", "car")
+    )
+    operand = [f"{bus}{j}" for j in range(n)]
     gates: list[GateInstance] = []
     garbage: list[str] = []
     consts: dict[str, int] = {}
 
     if tap_lsb:
-        source = "si0"
+        source = si[0]
         n_copies = n  # n AND lines plus the pass-through back into slice 0
     else:
         source = "x"
@@ -228,79 +252,64 @@ def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Net
     lines: list[str] = []
     cur = source
     for k in range(n_copies):
-        consts[f"fz{k}"] = 0
-        gates.append(GateInstance(FEYNMAN, (cur, f"fz{k}"), (f"ft{k}", f"fc{k}")))
-        lines.append(f"fc{k}")
-        cur = f"ft{k}"
+        zero, through, copy = f"fz{k}", f"ft{k}", f"fc{k}"
+        consts[zero] = 0
+        gates.append(GateInstance(FEYNMAN, (cur, zero), (through, copy)))
+        lines.append(copy)
+        cur = through
     and_lines = lines + [cur] if not tap_lsb else lines
-    slice0_a = cur if tap_lsb else "si0"
+    slice0_a = cur if tap_lsb else si[0]
     assert len(and_lines) == n
 
     products: list[str] = []
     for j in range(n):
-        consts[f"tz{j}"] = 0
-        gates.append(
-            GateInstance(
-                TOFFOLI,
-                (and_lines[j], f"{bus}{j}", f"tz{j}"),
-                (f"tg{j}a", f"tg{j}b", f"p{j}"),
-            )
-        )
-        garbage += [f"tg{j}a", f"tg{j}b"]
-        products.append(f"p{j}")
+        zero, product, waste = f"tz{j}", f"p{j}", (f"tg{j}a", f"tg{j}b")
+        consts[zero] = 0
+        gates.append(GateInstance(TOFFOLI, (and_lines[j], operand[j], zero), (*waste, product)))
+        garbage += waste
+        products.append(product)
 
     for j in range(width):
-        consts[f"az{j}"] = 0
+        zero, waste = f"az{j}", (f"fa{j}a", f"fa{j}b")
+        consts[zero] = 0
         if j < n:
             addend = products[j]
         else:
-            consts[f"pz{j}"] = 0
             addend = f"pz{j}"
-        a_in = slice0_a if j == 0 else f"si{j}"
-        gates.append(
-            GateInstance(
-                TSG,
-                (a_in, f"ci{j}", f"az{j}", addend),
-                (f"fa{j}a", f"fa{j}b", f"sum{j}", f"car{j}"),
-            )
-        )
-        garbage += [f"fa{j}a", f"fa{j}b"]
+            consts[addend] = 0
+        a_in = slice0_a if j == 0 else si[j]
+        gates.append(GateInstance(TSG, (a_in, ci[j], zero, addend), (*waste, sums[j], cars[j])))
+        garbage += waste
 
     # MontDatapath.run assembles the sources in this order, constants last.
-    primary_inputs = (
-        [f"si{j}" for j in range(width)]
-        + [f"ci{j}" for j in range(width)]
-        + [f"{bus}{j}" for j in range(n)]
-    )
+    primary_inputs = si + ci + operand
     if not tap_lsb:
         primary_inputs.append("x")
     return Netlist(
         primary_inputs=primary_inputs,
         constants=consts,
         gates=gates,
-        primary_outputs=[f"sum{j}" for j in range(width)]
-        + [f"car{j}" for j in range(width)],
+        primary_outputs=sums + cars,
         garbage_outputs=garbage,
         name=name,
     )
 
 
-def _stage_runner(stage: Netlist, width: int):
-    """Runner for a CSA stage: register bits in, sum and carry bits (LSB first) out.
+def _runner(netlist: Netlist, *words: Sequence[str]):
+    """Runner for a datapath netlist: input bits in, one bit tuple per word out.
 
-    The runner checks the bits it is given once, then runs the stage's
-    plan on them with the stage's constants appended.
+    The runner checks the bits it is given (the primary inputs, in
+    order) once, then runs the netlist's plan on them with its constants
+    appended, and picks each word's wires, LSB first, from the result.
     """
-    plan = stage._plan()
-    consts = list(stage.constants.values())
-    sums, cars = (
-        itemgetter(*(plan.slot[f"{word}{j}"] for j in range(width))) for word in ("sum", "car")
-    )
+    plan = netlist._plan()
+    consts = list(netlist.constants.values())
+    picks = [itemgetter(*map(plan.slot.__getitem__, word)) for word in words]
 
-    def run(bits: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def run(bits: list[int]) -> list[tuple[int, ...]]:
         _require_bits(bits, zip(plan.sources, bits), "input")
         out = plan.forward(bits + consts)
-        return sums(out), cars(out)
+        return [pick(out) for pick in picks]
 
     return run
 
@@ -344,8 +353,10 @@ class MontDatapath:
         n = params.n
         self.stage1 = _csa_stage(w, n, bus="y", tap_lsb=False, name="csa_stage1")
         self.stage2 = _csa_stage(w, n, bus="m", tap_lsb=True, name="csa_stage2")
-        self._run1 = _stage_runner(self.stage1, w)
-        self._run2 = _stage_runner(self.stage2, w)
+        self._run1, self._run2 = (
+            _runner(stage, stage.primary_outputs[:w], stage.primary_outputs[w:])
+            for stage in (self.stage1, self.stage2)
+        )
         self.s_reg = Register(w)
         self.c_reg = Register(w)
         self.s_shift = ShiftRegister(w)
@@ -354,6 +365,7 @@ class MontDatapath:
         self.y_reg = Register(n)
         self.m_reg = Register(n)
         self.final_adder = build_cpa(w)
+        self._add = _runner(self.final_adder, self.final_adder.primary_outputs)  # s0.., cout
         self.m_reg.load_value(params.modulus)
         self.last_run: MontRun | None = None
 
@@ -389,74 +401,65 @@ class MontDatapath:
         return sum(p.garbage_bits_emitted for p in self._parts)
 
     def _snapshot(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(part.state for part in self._parts))
+        return tuple(chain.from_iterable([part.state for part in self._parts]))
 
     # -- execution ----------------------------------------------------
 
     def run(self, x: int, y: int) -> int:
-        """Clock the datapath n cycles and resolve the product."""
+        """Clock the datapath n cycles and resolve the product.
+
+        Register contents stay bit lists from cycle to cycle; they
+        become ints only for the cycle records and the invariants.
+        """
         params = self.params
         _check_operand("x", x, params)
         _check_operand("y", y, params)
-        w = params.register_width
-
-        self.s_shift.load_value(0)
-        self.c_shift.load_value(0)
-        self.s_reg.load_value(0)
-        self.c_reg.load_value(0)
-        self.x_shift.load_value(x)
-        self.y_reg.load_value(y)
-        self.m_reg.load_value(params.modulus)
+        parts = self._parts
+        s_shift, c_shift, s_reg, c_reg, x_shift, y_reg, m_reg = parts
+        for part, value in zip(parts, (0, 0, 0, 0, x, y, params.modulus)):
+            part.load_value(value)
 
         snapshots = [self._snapshot()]
         cycles = []
         for i in range(params.n):
-            xi = self.x_shift.bits[0]
+            xi = x_shift.bits[0]
 
-            sum1, car1 = self._run1(self.s_shift.bits + self.c_shift.bits + self.y_reg.bits + [xi])
+            sum1, car1 = self._run1(s_shift.bits + c_shift.bits + y_reg.bits + [xi])
             _invariant(car1[-1] == 0, "stage 1 carry spills past the register")
-            self.s_reg._load_bits(sum1)
-            self.c_reg._load_bits((0, *car1[:-1]))  # the carry word, shifted up one place
-            s0 = self.s_reg.bits[0]
-            total_after_multiplicand = self.s_reg.value + self.c_reg.value
+            s_reg._load_bits(sum1)
+            c_reg._load_bits((0, *car1[:-1]))  # the carry word, shifted up one place
+            s_bits, c_bits = s_reg.bits, c_reg.bits
+            total_after_multiplicand = from_bits(s_bits) + from_bits(c_bits)
 
-            sum2, car2 = self._run2(self.s_reg.bits + self.c_reg.bits + self.m_reg.bits)
-            sum2, car2 = from_bits(sum2), from_bits(car2)
-            _invariant(car2 >> (w - 1) == 0, "stage 2 carry spills past the register")
-            _invariant(sum2 & 1 == 0, "stage 2 left the parity set; halving would be inexact")
-            total_after_parity_clear = sum2 + (car2 << 1)
+            sum2, car2 = self._run2(s_bits + c_bits + m_reg.bits)
+            _invariant(car2[-1] == 0, "stage 2 carry spills past the register")
+            _invariant(sum2[0] == 0, "stage 2 left the parity set; halving would be inexact")
+            total_after_parity_clear = from_bits(sum2) + (from_bits(car2) << 1)
 
-            self.s_shift.load_value(sum2)
-            self.s_shift._pulse(0)
-            self.c_shift.load_value((car2 << 1) & ((1 << w) - 1))
-            self.c_shift._pulse(0)
-            self.x_shift._pulse(0)
+            s_shift._force_bits(sum2)
+            s_shift._pulse(0)
+            c_shift._force_bits((0, *car2[:-1]))
+            c_shift._pulse(0)
+            x_shift._pulse(0)
             # Holding registers see the clock too; enable stays low.
-            self.y_reg.hold()
-            self.m_reg.hold()
+            y_reg.hold()
+            m_reg.hold()
 
             cycles.append(
                 CycleRecord(
                     i,
                     xi,
-                    s0,
+                    s_bits[0],
                     total_after_multiplicand,
                     total_after_parity_clear,
-                    self.s_shift.value,
-                    self.c_shift.value,
+                    s_shift.value,
+                    c_shift.value,
                 )
             )
             snapshots.append(self._snapshot())
 
-        final = self.final_adder.simulate(
-            {
-                **{f"a{j}": b for j, b in enumerate(to_bits(self.s_shift.value, w))},
-                **{f"b{j}": b for j, b in enumerate(to_bits(self.c_shift.value, w))},
-                "cin": 0,
-            }
-        )
-        p = from_bits(final[f"s{j}"] for j in range(w))
-        p |= final["cout"] << w
+        (total,) = self._add(s_shift.bits + c_shift.bits + [0])  # cin = 0
+        p = from_bits(total)
         if p >= params.modulus:
             p -= params.modulus
         self.last_run = MontRun(

@@ -9,21 +9,34 @@ with explicit copy gates. Under that discipline the whole netlist maps
 its input-plus-constant vector bijectively onto its output-plus-garbage
 vector, and can be simulated both forwards and backwards.
 
+Validation is one pass over the gates: it collects every driver and
+sink, finds violations with counts and set operations, and names the
+drivers or sinks only of a wire that breaks a rule. The gate list is
+kept as the topological order when it already is one, as it is for
+every generated netlist; otherwise Kahn's algorithm orders it, or
+finds the cycle.
+
 Evaluation runs a plan compiled once per validated netlist: every wire
 gets a slot in a flat list of bits, and each gate reads and writes
 fixed slots, in topological order forwards and in reverse order
-backwards. Arguments are checked once per call, at the boundary
-(`simulate`, `simulate_inverse`), not per gate. `check_reversibility`
-runs the same plan over blocks of source vectors held by column,
-forwards and then backwards, and compares each block in one step.
+backwards. Forwards, each wave of consecutive gates of one kind that
+do not read one another runs as one `map` over the gates, still one
+gate call per gate. Arguments are checked once per call, at the
+boundary (`simulate`, `simulate_inverse`), not per gate. The batch
+runner `forward_rows` hands a gate's result rows straight to the gate
+that reads them and builds columns only for the slots its caller
+reads. `check_reversibility` runs the same plan over blocks of source
+vectors held by column, forwards and then backwards, and compares each
+block in one step.
 """
 
 from __future__ import annotations
 
-import graphlib
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cached_property
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -41,7 +54,7 @@ class NetlistError(ValueError):
     """Raised when an operation is attempted on an invalid netlist."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GateInstance:
     """One placed gate: a kind plus its input and output wire names."""
 
@@ -49,14 +62,15 @@ class GateInstance:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        if len(self.inputs) != self.kind.arity or len(self.outputs) != self.kind.arity:
+    def __init__(self, kind: GateKind, inputs: Iterable[str], outputs: Iterable[str]):
+        inputs, outputs = tuple(inputs), tuple(outputs)
+        if len(inputs) != kind.arity or len(outputs) != kind.arity:
             raise ValueError(
-                f"{self.kind.name}: needs {self.kind.arity} inputs and outputs, "
-                f"got {len(self.inputs)} -> {len(self.outputs)}"
+                f"{kind.name}: needs {kind.arity} inputs and outputs, "
+                f"got {len(inputs)} -> {len(outputs)}"
             )
+        # One dict in place of a frozen dataclass's one-field-at-a-time setattrs.
+        object.__setattr__(self, "__dict__", {"kind": kind, "inputs": inputs, "outputs": outputs})
 
 
 @dataclass(frozen=True)
@@ -160,74 +174,77 @@ class Netlist:
             seen.setdefault(w)
         return tuple(seen)
 
-    def _drivers(self) -> dict[str, list[str]]:
-        """Wire -> list of driver labels (used for validation)."""
-        drivers: dict[str, list[str]] = {}
-        for w in self.primary_inputs:
-            drivers.setdefault(w, []).append("input")
-        for w in self.constants:
-            drivers.setdefault(w, []).append("const")
-        for i, g in enumerate(self.gates):
-            for w in g.outputs:
-                drivers.setdefault(w, []).append(f"gate {i} ({g.kind.name})")
-        return drivers
+    def _labels(self, counts: Mapping[str, int], drivers: bool) -> dict[str, list[str]]:
+        """Driver (or sink) labels of each wire counted more than once, in list order.
 
-    def _sinks(self) -> dict[str, list[str]]:
-        sinks: dict[str, list[str]] = {}
+        Built only for wires that break a rule, to describe them.
+        """
+        labels: dict[str, list[str]] = {w: [] for w, k in counts.items() if k > 1}
+        if not labels:
+            return labels
+
+        def note(ends: Iterable[str], label: str) -> None:
+            for w in ends:
+                if w in labels:
+                    labels[w].append(label)
+
+        if drivers:
+            note(self.primary_inputs, "input")
+            note(self.constants, "const")
         for i, g in enumerate(self.gates):
-            for w in g.inputs:
-                sinks.setdefault(w, []).append(f"gate {i} ({g.kind.name})")
-        for w in self.primary_outputs:
-            sinks.setdefault(w, []).append("output")
-        for w in self.garbage_outputs:
-            sinks.setdefault(w, []).append("garbage")
-        return sinks
+            ends = g.outputs if drivers else g.inputs
+            if not labels.keys().isdisjoint(ends):
+                note(ends, f"gate {i} ({g.kind.name})")
+        if not drivers:
+            note(self.primary_outputs, "output")
+            note(self.garbage_outputs, "garbage")
+        return labels
 
     def validate(self) -> ValidationReport:
         """Check the wiring discipline and report every violation found.
 
         Violation kinds: ``multiply-driven``, ``undriven``, ``fan-out``,
         ``unclassified-output``, ``dangling-input``, ``cycle``.
+
+        One pass over the gates collects every driver and every sink;
+        counts and set operations then find the violations, and only a
+        wire that breaks a rule gets its drivers or sinks named.
         """
         if self._validation is not None:
             return self._validation
-        violations: list[Violation] = []
-        drivers = self._drivers()
-        sinks = self._sinks()
+        gate_outputs = [*chain.from_iterable([g.outputs for g in self.gates])]
+        driven = (*self.primary_inputs, *self.constants, *gate_outputs)
+        sunk = (*chain.from_iterable([g.inputs for g in self.gates]),
+                *self.primary_outputs, *self.garbage_outputs)
+        drivers, sinks = dict.fromkeys(driven), dict.fromkeys(sunk)  # in first-use order
+        driver_count = Counter(driven) if len(drivers) < len(driven) else {}
+        sink_count = Counter(sunk) if len(sinks) < len(sunk) else {}
 
-        for wire, who in drivers.items():
-            if len(who) > 1:
-                violations.append(
-                    Violation("multiply-driven", f"wire {wire} driven by {', '.join(who)}")
-                )
-        for wire in self.wires:
-            if wire not in drivers:
-                violations.append(Violation("undriven", f"wire {wire} has no driver"))
-        for wire, who in sinks.items():
-            if len(who) > 1:
-                violations.append(
-                    Violation("fan-out", f"wire {wire} feeds {len(who)} sinks: {', '.join(who)}")
-                )
-
-        # In gate order, each wire once, so the report does not depend on hashing.
-        gate_outputs = dict.fromkeys(w for g in self.gates for w in g.outputs)
-        for wire in gate_outputs:
-            if wire not in sinks:
-                violations.append(
-                    Violation(
-                        "unclassified-output",
-                        f"gate output {wire} is neither consumed nor classified",
-                    )
-                )
-        for wire in list(self.primary_inputs) + list(self.constants):
-            if wire not in sinks and wire in drivers and len(drivers[wire]) == 1:
-                violations.append(
-                    Violation(
-                        "dangling-input",
-                        f"input {wire} is neither consumed nor classified as an output",
-                    )
-                )
-
+        violations = [
+            Violation("multiply-driven", f"wire {wire} driven by {', '.join(who)}")
+            for wire, who in self._labels(driver_count, drivers=True).items()
+        ]
+        if not drivers.keys() >= sinks.keys():
+            violations += [Violation("undriven", f"wire {wire} has no driver")
+                           for wire in sinks if wire not in drivers]
+        violations += [
+            Violation("fan-out", f"wire {wire} feeds {len(who)} sinks: {', '.join(who)}")
+            for wire, who in self._labels(sink_count, drivers=False).items()
+        ]
+        unsunk = drivers.keys() - sinks.keys()
+        if unsunk:
+            # In gate order, each wire once, so the report does not depend on hashing.
+            violations += [
+                Violation("unclassified-output",
+                          f"gate output {wire} is neither consumed nor classified")
+                for wire in dict.fromkeys(gate_outputs) if wire in unsunk
+            ]
+            violations += [
+                Violation("dangling-input",
+                          f"input {wire} is neither consumed nor classified as an output")
+                for wire in (*self.primary_inputs, *self.constants)
+                if wire in unsunk and driver_count.get(wire, 1) == 1
+            ]
         if self._toposort() is None:
             violations.append(Violation("cycle", "gate dependencies contain a cycle"))
 
@@ -235,23 +252,44 @@ class Netlist:
         return self._validation
 
     def _toposort(self) -> tuple[int, ...] | None:
-        """Topological order of gate indices, or None on a cycle."""
+        """Topological order of gate indices, or None on a cycle.
+
+        The list order, when it is already topological (as it is for
+        every generated netlist); otherwise Kahn's algorithm, taking
+        ready gates in index order. A gate depends on the first gate
+        that drives each of its inputs.
+        """
         if self._topo is not None:
             return self._topo
+        gates = self.gates
+        pending = {w for g in gates for w in g.outputs}  # not yet driven
+        for g in gates:
+            if not pending.isdisjoint(g.inputs):
+                break
+            pending.difference_update(g.outputs)
+        else:
+            self._topo = tuple(range(len(gates)))
+            return self._topo
+
         producer: dict[str, int] = {}
-        for i, g in enumerate(self.gates):
-            for w in g.outputs:
-                producer.setdefault(w, i)
-        deps = {
-            i: {producer[w] for w in g.inputs if w in producer}
-            for i, g in enumerate(self.gates)
-        }
-        try:
-            order = tuple(graphlib.TopologicalSorter(deps).static_order())
-        except graphlib.CycleError:
+        for i in reversed(range(len(gates))):  # the first driver wins
+            producer.update(dict.fromkeys(gates[i].outputs, i))
+        deps = [{producer[w] for w in g.inputs if w in producer} for g in gates]
+        users: list[list[int]] = [[] for _ in gates]
+        for i, dep in enumerate(deps):
+            for j in dep:
+                users[j].append(i)
+        waiting = [len(dep) for dep in deps]
+        order = [i for i, n in enumerate(waiting) if not n]
+        for i in order:  # grows as gates become ready
+            for j in users[i]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    order.append(j)
+        if len(order) < len(gates):
             return None
-        self._topo = order
-        return order
+        self._topo = tuple(order)
+        return self._topo
 
     def _require_valid(self) -> None:
         report = self.validate()
@@ -378,48 +416,118 @@ class _Plan:
     and every gate writes one contiguous run of slots. `forward` and
     `inverse` run one vector; `forward_rows` and `inverse_rows` run a
     batch of them (a rank of latches sharing one core, a block of
-    reversibility cases) held as one column of bits per slot.
+    reversibility cases) held as one column of bits per slot. Each
+    runner is compiled on its first use.
     """
 
     def __init__(self, netlist: Netlist):
         gates = [netlist.gates[i] for i in netlist._toposort()]
         self.sources = (*netlist.primary_inputs, *netlist.constants)
-        self.wires = self.sources + tuple(w for g in gates for w in g.outputs)
+        self.wires = (*self.sources, *chain.from_iterable([g.outputs for g in gates]))
         self.outputs = (*netlist.primary_outputs, *netlist.garbage_outputs)
         self.input_set = frozenset(netlist.primary_inputs)
         self.output_set = frozenset(self.outputs)
-        self.slot = {w: i for i, w in enumerate(self.wires)}
+        self.slot = dict(zip(self.wires, range(len(self.wires))))
         self.output_slots = [self.slot[w] for w in self.outputs]
         self._pad = [None] * (len(self.wires) - len(self.sources))
-        self._forward, inverse = [], []
+        self._programs: dict = {}  # `forward_rows` steps by the slots read
+        #: Per gate in topological order: kind, input slots, output slots lo:hi.
+        self._gates = []
+        slot_of = self.slot.__getitem__
         lo = len(self.sources)
         for g in gates:
             hi = lo + len(g.outputs)
-            in_slots = [self.slot[w] for w in g.inputs]
-            self._forward.append((g.kind, in_slots, _gather(in_slots), lo, hi))
-            inverse.append((g.kind, _gather(range(lo, hi)), in_slots, lo, hi))
+            self._gates.append((g.kind, [*map(slot_of, g.inputs)], lo, hi))
             lo = hi
-        self._inverse = inverse[::-1]
+
+    @cached_property
+    def _waves(self) -> list[tuple]:
+        """Runs of consecutive gates of one kind, none reading another's output.
+
+        A wave writes the next run of slots and reads its inputs as one
+        flat tuple: (kind, gather, arity), with arity 0 for a wave of
+        one gate, whose gather gives its inputs directly.
+        """
+        runs: list[list] = []
+        for kind, in_slots, lo, hi in self._gates:
+            # In topological order a gate reads only slots below its own.
+            if runs and runs[-1][0] is kind and max(in_slots) < runs[-1][2]:
+                runs[-1][1] += in_slots
+                runs[-1][3] += 1
+            else:
+                runs.append([kind, [*in_slots], lo, 1])
+        return [
+            (kind, _gather(slots), kind.arity if count > 1 else 0)
+            for kind, slots, _, count in runs
+        ]
+
+    def _batch_program(self, read: tuple[int, ...] | None) -> list[tuple]:
+        """The steps of `forward_rows` for a caller that reads the slots `read`.
+
+        Per gate: kind, gather, output slots lo:hi, and None if the
+        caller reads one of them, which transposes the gate's result
+        rows into columns; otherwise the outputs another gate reads,
+        each handed over as a one-shot iterator: [(slot, pick), ...].
+        The single-sink rule makes that reader the only one.
+        """
+        program = self._programs.get(read)
+        if program is None:
+            wanted = range(len(self.wires)) if read is None else frozenset(read)
+            gate_read = {s for _, in_slots, _, _ in self._gates for s in in_slots}
+            program = self._programs[read] = [
+                (kind, _gather(in_slots), lo, hi,
+                 None if any(s in wanted for s in range(lo, hi))
+                 else [(s, itemgetter(s - lo)) for s in range(lo, hi) if s in gate_read])
+                for kind, in_slots, lo, hi in self._gates
+            ]
+        return program
+
+    @cached_property
+    def _inverse(self) -> list[tuple]:
+        return [
+            (kind, _gather(range(lo, hi)), in_slots, lo, hi)
+            for kind, in_slots, lo, hi in reversed(self._gates)
+        ]
 
     def forward(self, sources: Sequence[int]) -> list:
-        """Run forwards from the source bits (inputs, then constants); return all slots."""
-        bits = [*sources, *self._pad]
-        for kind, _, gather, lo, hi in self._forward:
-            bits[lo:hi] = kind.apply(gather(bits))
+        """Run forwards from the source bits (inputs, then constants); return all slots.
+
+        Each wave of gates runs as one `map` of `kind.apply` over its
+        gates' input tuples.
+        """
+        bits = [*sources]
+        for kind, gather, arity in self._waves:
+            if arity:
+                bits += chain.from_iterable(map(kind.apply, zip(*[iter(gather(bits))] * arity)))
+            else:
+                bits += kind.apply(gather(bits))
         return bits
 
-    def forward_rows(self, columns: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+    def forward_rows(
+        self, columns: Sequence[Sequence[int]], read: tuple[int, ...] | None = None
+    ) -> list[Sequence[int]]:
         """Run `forward` once per row of a batch held by column.
 
-        `columns[k]` holds source k's bit in every row; the result holds
-        every slot's bits in every row, the same way. Each gate runs on
-        all rows, one `kind.apply` call per row, before the next gate.
+        `columns[k]` holds source k's bit in every row; a batch has as
+        many rows as its shortest column. Each gate runs on all rows,
+        one `kind.apply` call per row, before the next gate. The result
+        holds the bits of every slot in `read` (default: every slot) in
+        every row, the same way. A gate none of whose outputs is in
+        `read` is not transposed into columns: its result rows go
+        straight to the gates that read them, and its slots in the
+        result hold no column.
         """
         if not columns or not len(columns[0]):
             return [()] * len(self.wires)
         cols = [*columns, *self._pad]
-        for kind, in_slots, _, lo, hi in self._forward:
-            cols[lo:hi] = zip(*map(kind.apply, zip(*[cols[s] for s in in_slots])))
+        for kind, gather, lo, hi, handoffs in self._batch_program(read):
+            rows = map(kind.apply, zip(*gather(cols)))
+            if handoffs is None:
+                cols[lo:hi] = zip(*rows)
+            else:
+                rows = [*rows]
+                for slot, pick in handoffs:
+                    cols[slot] = map(pick, rows)
         return cols
 
     def inverse(self, outputs: Sequence[int]) -> list:
@@ -522,8 +630,9 @@ def check_reversibility(
     else:
         blocks = _random_blocks(n_bits, samples, random.Random(seed))
     failures: list[str] = []
+    read = tuple(plan.output_slots)
     for columns in blocks:
-        slots = plan.forward_rows(columns)
+        slots = plan.forward_rows(columns, read)
         outputs = [slots[s] for s in plan.output_slots]
         back = plan.inverse_rows(outputs)[:n_bits]
         if back == columns:

@@ -49,6 +49,7 @@ LATCH_CORE = Netlist(
 )
 _LATCH = LATCH_CORE._plan()
 _QS, _QO = _LATCH.slot["qs"], _LATCH.slot["qo"]
+_READ = (_QS, _QO)  # the core's columns a step reads; its garbage is never transposed
 
 # Ranks of the state list: every latch, or the masters or slaves of
 # master-slave pairs.
@@ -103,19 +104,23 @@ class ClockedCircuit:
     def __init__(self, latches: int):
         self._q = [0] * latches
         self._latch_steps = 0
+        #: Constant rails, one bit per latch, by their bit (a dict, so 1.0 finds 1).
+        self._rails = {0: (0,) * latches, 1: (1,) * latches}
 
     def _clock(self, latches: slice, e: int, data: Sequence[int]) -> Sequence[int]:
         """Step a rank of latches sharing enable `e`, one data bit each.
 
         One call runs the shared core once per latch, writes the new
-        states and returns the observable outputs in rank order.
+        states and returns the observable outputs in rank order. The
+        enable and constant rails span every latch; the rank's held
+        bits bound the batch.
         """
         q = self._q
         held = q[latches]
-        k = len(held)
-        slots = _LATCH.forward_rows(((e,) * k, data, held, (0,) * k))  # e, d, q, then z = 0
+        rails = self._rails
+        slots = _LATCH.forward_rows((rails[e], data, held, rails[0]), _READ)  # e, d, q, z = 0
         q[latches] = slots[_QS]
-        self._latch_steps += k
+        self._latch_steps += len(held)
         return slots[_QO]
 
     def _edge(self, cp: int, feed: Sequence[int]) -> Sequence[int]:
@@ -206,7 +211,7 @@ class Register(ClockedCircuit):
 
     def hold(self) -> None:
         """One clock with the enable low (and data 0): every latch keeps its bit."""
-        self._clock(_ALL, 0, [0] * self.width)
+        self._clock(_ALL, 0, self._rails[0])
 
     def load_value(self, value: int) -> None:
         self._q[:] = to_bits(value, self.width)
@@ -275,7 +280,11 @@ class ShiftRegister(ClockedCircuit):
         return self._shift(0, sin)
 
     def load_value(self, value: int) -> None:
-        self._q[_MASTERS] = self._q[_SLAVES] = to_bits(value, self.width)
+        self._force_bits(to_bits(value, self.width))
+
+    def _force_bits(self, bits: Sequence[int]) -> None:
+        """As `load_value`, for a caller that holds the `width` bits, LSB first."""
+        self._q[_MASTERS] = self._q[_SLAVES] = bits
 
 
 def _shift_outputs(qs: Sequence[int]) -> dict[str, int]:

@@ -25,6 +25,8 @@ from revalu import (
     switching_trace,
 )
 from revalu.arith import IrreversibleGate, IrreversibleNetlist
+from revalu.gates import GateKind
+from revalu.netlist import GateInstance, Netlist
 
 
 def single_gate(op):
@@ -279,3 +281,45 @@ class TestEnergyReport:
         report = energy_report(datapath.cores)
         assert report.erased_bits == 0.0
         assert report.deferred_erasure_bits == datapath.cost_report().garbage_count
+
+
+class TestLossPerGateKind:
+    """Each kind's loss is computed once; every total must equal the
+    per-gate recount from a fresh truth table, float for float."""
+
+    @staticmethod
+    def recount(pieces):
+        internal = 0.0
+        for piece in pieces:
+            loss = 0.0
+            for g in piece.gates:
+                outputs = list(g.kind.truth_table.values())
+                counts = [outputs.count(v) for v in dict.fromkeys(outputs)]
+                entropy = -sum((c / len(outputs)) * math.log2(c / len(outputs)) for c in counts)
+                loss += g.kind.arity - entropy
+            internal += loss
+        return internal
+
+    @staticmethod
+    def lossy(name, table_fn):
+        kind = GateKind.from_function(name, 3, table_fn)
+        wires = [f"w{i}" for i in range(6)]
+        gates = [GateInstance(kind, wires[:3], ["x0", "x1", "x2"]),
+                 GateInstance(kind, wires[3:], ["y0", "y1", "y2"])]
+        return Netlist(wires, {}, gates, ["x0", "x1", "x2", "y0", "y1", "y2"])
+
+    def test_datapath_cores_match_a_recount(self):
+        datapath = MontDatapath(MontParams.for_modulus(0xB00B))
+        pieces = list(datapath.cores)
+        report = energy_report(pieces)
+        assert report.erased_bits == self.recount(pieces) == 0.0
+        assert report.deferred_erasure_bits == sum(len(p.garbage_outputs) for p in pieces)
+
+    def test_lossy_kinds_of_one_name_keep_their_own_loss(self):
+        merge = self.lossy("LOSSY", lambda a, b, c: (a & b, a & b, c))
+        crush = self.lossy("LOSSY", lambda a, b, c: (a & b & c, 0, 0))
+        pieces = [merge, crush, merge, build_cpa(2), crush]
+        assert energy_report(merge).erased_bits == self.recount([merge]) > 0
+        assert energy_report(crush).erased_bits == self.recount([crush])
+        assert energy_report(crush).erased_bits != energy_report(merge).erased_bits
+        assert energy_report(pieces).erased_bits == self.recount(pieces)

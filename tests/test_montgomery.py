@@ -1,5 +1,6 @@
 """Montgomery multiplication against modular-arithmetic oracles."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 import revalu
 import revalu.montgomery as mg
-from revalu.gates import GateKind
-from revalu.netlist import NetlistError
+from revalu.gates import TOFFOLI, GateKind
+from revalu.netlist import GateInstance, Netlist, NetlistError
 from revalu import (
     MontDatapath,
     MontParams,
@@ -361,6 +362,68 @@ class TestDatapathWork:
         with pytest.raises(NetlistError, match=f"input {wire} must be 0 or 1, got 2"):
             datapath.run(3, 5)
         assert datapath.last_run is None
+
+
+class TestDatapathConstruction:
+    def test_every_datapath_netlist_is_validated_when_built(self, monkeypatch):
+        validated = []
+        real = Netlist.validate
+
+        def recording(self):
+            validated.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Netlist, "validate", recording)
+        datapath = MontDatapath(MontParams(7, 3))
+        for netlist in (datapath.stage1, datapath.stage2, datapath.final_adder):
+            assert any(v is netlist for v in validated), netlist.name
+
+    def test_stage_with_planted_fan_out_is_refused(self, monkeypatch):
+        real = mg._csa_stage
+
+        def planted(*args, **kwargs):
+            # Stage 1's first Toffoli reads y1 in place of y0: y1 then
+            # feeds two gates and y0 feeds none.
+            stage = real(*args, **kwargs)
+            if stage.name != "csa_stage1":
+                return stage
+            gates = list(stage.gates)
+            i = next(k for k, g in enumerate(gates) if g.kind is TOFFOLI)
+            a, _, z = gates[i].inputs
+            gates[i] = GateInstance(TOFFOLI, (a, "y1", z), gates[i].outputs)
+            return Netlist(stage.primary_inputs, stage.constants, gates,
+                           stage.primary_outputs, stage.garbage_outputs, stage.name)
+
+        monkeypatch.setattr(mg, "_csa_stage", planted)
+        with pytest.raises(NetlistError) as info:
+            MontDatapath(MontParams(7, 3))
+        assert str(info.value) == (
+            "netlist csa_stage1 is invalid (2 violations): wire y1 feeds 2 sinks: "
+            "gate 2 (TG), gate 3 (TG); input y0 is neither consumed nor classified as an output"
+        )
+
+
+class TestCycleRecord:
+    FIELDS = dict(index=3, x_bit=1, s0=0, total_after_multiplicand=40,
+                  total_after_parity_clear=52, s=13, c=7)
+
+    def test_frozen_equal_hashable_and_readable(self):
+        record = mg.CycleRecord(*self.FIELDS.values())
+        twin = mg.CycleRecord(**self.FIELDS)
+        assert record == twin and hash(record) == hash(twin)
+        assert record != mg.CycleRecord(**{**self.FIELDS, "c": 8})
+        assert vars(record) == self.FIELDS
+        assert list(vars(record)) == list(self.FIELDS)
+        assert dataclasses.asdict(record) == self.FIELDS
+        assert repr(record) == (
+            "CycleRecord(index=3, x_bit=1, s0=0, total_after_multiplicand=40, "
+            "total_after_parity_clear=52, s=13, c=7)"
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.s = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.c
+        assert dataclasses.replace(record, s=1) == mg.CycleRecord(**{**self.FIELDS, "s": 1})
 
 
 class TestDatapathInvariants:

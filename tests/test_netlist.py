@@ -1,5 +1,6 @@
 """Netlist validation, simulation, inverse simulation, and cost tests."""
 
+import graphlib
 import json
 import random
 from itertools import product
@@ -24,6 +25,7 @@ from revalu import (
     parse_rnl,
     serialize_rnl,
 )
+from revalu.netlist import ValidationReport, Violation
 
 
 def feynman_copy() -> Netlist:
@@ -544,3 +546,207 @@ def test_random_netlists_inverse_rows_match_scalar_inverse(netlist, data):
         assert expected[:width] == row
     if not rows:
         assert all(len(col) == 0 for col in slots)
+
+
+# -- one-pass validation against the earlier per-wire implementation ---
+
+
+def reference_wires(netlist: Netlist) -> tuple:
+    seen: dict = {}
+    for w in netlist.primary_inputs:
+        seen.setdefault(w)
+    for w in netlist.constants:
+        seen.setdefault(w)
+    for g in netlist.gates:
+        for w in g.inputs:
+            seen.setdefault(w)
+        for w in g.outputs:
+            seen.setdefault(w)
+    for w in netlist.primary_outputs:
+        seen.setdefault(w)
+    for w in netlist.garbage_outputs:
+        seen.setdefault(w)
+    return tuple(seen)
+
+
+def reference_toposort(netlist: Netlist):
+    """Topological order of gate indices by graphlib, or None on a cycle."""
+    producer: dict = {}
+    for i, g in enumerate(netlist.gates):
+        for w in g.outputs:
+            producer.setdefault(w, i)
+    deps = {
+        i: {producer[w] for w in g.inputs if w in producer}
+        for i, g in enumerate(netlist.gates)
+    }
+    try:
+        return tuple(graphlib.TopologicalSorter(deps).static_order())
+    except graphlib.CycleError:
+        return None
+
+
+def reference_validate(netlist: Netlist) -> ValidationReport:
+    """Label every driver and sink of every wire, then check each rule in turn."""
+    drivers: dict = {}
+    for w in netlist.primary_inputs:
+        drivers.setdefault(w, []).append("input")
+    for w in netlist.constants:
+        drivers.setdefault(w, []).append("const")
+    for i, g in enumerate(netlist.gates):
+        for w in g.outputs:
+            drivers.setdefault(w, []).append(f"gate {i} ({g.kind.name})")
+    sinks: dict = {}
+    for i, g in enumerate(netlist.gates):
+        for w in g.inputs:
+            sinks.setdefault(w, []).append(f"gate {i} ({g.kind.name})")
+    for w in netlist.primary_outputs:
+        sinks.setdefault(w, []).append("output")
+    for w in netlist.garbage_outputs:
+        sinks.setdefault(w, []).append("garbage")
+
+    violations = []
+    for wire, who in drivers.items():
+        if len(who) > 1:
+            violations.append(
+                Violation("multiply-driven", f"wire {wire} driven by {', '.join(who)}")
+            )
+    for wire in reference_wires(netlist):
+        if wire not in drivers:
+            violations.append(Violation("undriven", f"wire {wire} has no driver"))
+    for wire, who in sinks.items():
+        if len(who) > 1:
+            violations.append(
+                Violation("fan-out", f"wire {wire} feeds {len(who)} sinks: {', '.join(who)}")
+            )
+    gate_outputs = dict.fromkeys(w for g in netlist.gates for w in g.outputs)
+    for wire in gate_outputs:
+        if wire not in sinks:
+            violations.append(
+                Violation(
+                    "unclassified-output",
+                    f"gate output {wire} is neither consumed nor classified",
+                )
+            )
+    for wire in list(netlist.primary_inputs) + list(netlist.constants):
+        if wire not in sinks and wire in drivers and len(drivers[wire]) == 1:
+            violations.append(
+                Violation(
+                    "dangling-input",
+                    f"input {wire} is neither consumed nor classified as an output",
+                )
+            )
+    if reference_toposort(netlist) is None:
+        violations.append(Violation("cycle", "gate dependencies contain a cycle"))
+    return ValidationReport(tuple(violations))
+
+
+@st.composite
+def tangled_netlists(draw):
+    """Any wiring over a few wire names: repeated drivers and sinks, loose
+    ends, cycles and out-of-order gate lists all turn up."""
+    names = st.sampled_from([f"w{k}" for k in range(7)])
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from([FEYNMAN, TOFFOLI, FREDKIN, TSG]))
+        ins = draw(st.lists(names, min_size=kind.arity, max_size=kind.arity))
+        outs = draw(st.lists(names, min_size=kind.arity, max_size=kind.arity))
+        gates.append(GateInstance(kind, ins, outs))
+    return Netlist(
+        primary_inputs=draw(st.lists(names, max_size=4)),
+        constants=draw(st.dictionaries(names, st.integers(0, 1), max_size=3)),
+        gates=gates,
+        primary_outputs=draw(st.lists(names, max_size=4)),
+        garbage_outputs=draw(st.lists(names, max_size=3)),
+        name="tangled",
+    )
+
+
+def assert_topological(netlist: Netlist, order) -> None:
+    assert sorted(order) == list(range(len(netlist.gates)))
+    position = {i: k for k, i in enumerate(order)}
+    producer: dict = {}
+    for i, g in enumerate(netlist.gates):
+        for w in g.outputs:
+            producer.setdefault(w, i)
+    for i, g in enumerate(netlist.gates):
+        for w in g.inputs:
+            if w in producer:
+                assert position[producer[w]] < position[i], (w, order)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(tangled_netlists(), random_netlists()))
+def test_one_pass_validation_matches_reference(netlist):
+    report = netlist.validate()
+    assert report == reference_validate(netlist)
+    assert netlist.wires == reference_wires(netlist)
+    assert report.as_dict() == reference_validate(netlist).as_dict()
+    order = netlist._toposort()
+    assert (order is None) == (reference_toposort(netlist) is None)
+    if order is not None:
+        assert_topological(netlist, order)
+    if report.ok:
+        plan = netlist._plan()
+        assert [kind for kind, *_ in plan._gates] == [netlist.gates[i].kind for i in order]
+        for _, in_slots, lo, _ in plan._gates:
+            assert all(s < lo for s in in_slots)
+    else:
+        with pytest.raises(NetlistError) as info:
+            netlist._plan()
+        summary = "; ".join(v.detail for v in report.violations[:3])
+        assert str(info.value) == (
+            f"netlist tangled is invalid ({len(report.violations)} violations): {summary}"
+        )
+
+
+def test_in_order_gate_list_keeps_its_order():
+    netlist = build_csa42(3)
+    assert netlist._toposort() == tuple(range(len(netlist.gates)))
+    reordered = Netlist(
+        primary_inputs=netlist.primary_inputs,
+        constants=netlist.constants,
+        gates=netlist.gates[::-1],
+        primary_outputs=netlist.primary_outputs,
+        garbage_outputs=netlist.garbage_outputs,
+    )
+    assert reordered.validate().ok
+    assert_topological(reordered, reordered._toposort())
+    assert reordered.simulate({w: 1 for w in netlist.primary_inputs}) == netlist.simulate(
+        {w: 1 for w in netlist.primary_inputs}
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_netlists(), st.data())
+def test_forward_rows_builds_the_columns_it_is_asked_for(netlist, data):
+    plan = netlist._plan()
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(plan.sources),
+                                       max_size=len(plan.sources)), min_size=1, max_size=5))
+    columns = [list(col) for col in zip(*rows)] if plan.sources else []
+    read = tuple(data.draw(st.sets(st.sampled_from(range(len(plan.wires)))))
+                 if plan.wires else ())
+    every = plan.forward_rows(columns)
+    some = plan.forward_rows(columns, read)
+    assert len(some) == len(plan.wires)
+    assert [tuple(some[s]) for s in read] == [tuple(every[s]) for s in read]
+    for r, row in enumerate(rows):
+        full = plan.forward(row)
+        assert [every[s][r] for s in range(len(plan.wires))] == full
+
+
+def test_forward_rows_runs_each_gate_once_per_row_whatever_is_read(monkeypatch):
+    netlist = build_csa42(2)
+    plan = netlist._plan()
+    calls = []
+    real_apply = GateKind.apply
+
+    def apply(self, inputs):
+        calls.append(self)
+        return real_apply(self, inputs)
+
+    monkeypatch.setattr(GateKind, "apply", apply)
+    columns = [[0, 1, 1]] * len(plan.sources)
+    for read in (None, (), tuple(plan.output_slots[:1])):
+        calls.clear()
+        plan.forward_rows(columns, read)
+        assert len(calls) == 3 * len(netlist.gates)
