@@ -8,8 +8,6 @@ analysis harness.
 """
 
 from .arith import (
-    IrreversibleGate,
-    IrreversibleNetlist,
     build_cpa,
     build_csa42,
     build_csa52,
@@ -30,11 +28,15 @@ from .energy import (
     switching_trace,
 )
 from .gates import (
+    AND,
     FEYNMAN,
     FREDKIN,
+    NOT,
+    OR,
     STANDARD_GATES,
     TOFFOLI,
     TSG,
+    XOR,
     GateKind,
     GateReport,
     tsg_as_full_adder,
@@ -75,6 +77,7 @@ from .sequential import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AND",
     "CostReport",
     "CycleRecord",
     "DLatch",
@@ -87,16 +90,16 @@ __all__ = [
     "GateKind",
     "GateReport",
     "InvariantError",
-    "IrreversibleGate",
-    "IrreversibleNetlist",
     "K_BOLTZMANN",
     "MasterSlaveDFF",
     "MontDatapath",
     "MontParams",
     "MontRun",
     "MontTrace",
+    "NOT",
     "Netlist",
     "NetlistError",
+    "OR",
     "PowerTrace",
     "Register",
     "ReversibilityReport",
@@ -107,6 +110,7 @@ __all__ = [
     "TSG",
     "ValidationReport",
     "Violation",
+    "XOR",
     "build_cpa",
     "build_csa42",
     "build_csa52",

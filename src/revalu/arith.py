@@ -12,22 +12,21 @@ Operands are little-endian buses (`a0` is the LSB). Each slice marks
 the two TSG pass-through outputs as garbage, so garbage grows linearly
 with width. ``build_irreversible_cpa`` produces a conventional
 AND/XOR/OR ripple adder with identical arithmetic behavior, used as the
-lossy baseline for erasure accounting.
+lossy baseline for erasure accounting: an ordinary netlist of lossy
+gates, which copies each wire it reads twice with a FEYNMAN gate and
+runs forwards only.
 """
 
 from __future__ import annotations
 
-import graphlib
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
-
-from .gates import TSG
+from .gates import AND, FEYNMAN, OR, TSG, XOR
 from .netlist import GateInstance, Netlist
 
 
-def _check_width(width: int) -> None:
+def _check_width(width: int) -> int:
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
+    return width
 
 
 def build_full_adder() -> Netlist:
@@ -169,90 +168,43 @@ def build_csa52(width: int) -> Netlist:
 
 # -- irreversible baseline -------------------------------------------
 
-_OPS: dict[str, Callable[..., int]] = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "not": lambda a: 1 ^ a,
-}
 
+def build_irreversible_cpa(width: int) -> Netlist:
+    """AND/XOR/OR ripple adder, arithmetic twin of `build_cpa`.
 
-@dataclass(frozen=True)
-class IrreversibleGate:
-    """Conventional single-output boolean gate."""
-
-    op: str
-    inputs: tuple[str, ...]
-    output: str
-
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValueError(f"unknown op {self.op!r}")
-        arity = 1 if self.op == "not" else 2
-        if len(self.inputs) != arity:
-            raise ValueError(f"{self.op} takes {arity} inputs, got {len(self.inputs)}")
-
-    def eval(self, bits: Sequence[int]) -> int:
-        return _OPS[self.op](*bits)
-
-
-class IrreversibleNetlist:
-    """Conventional combinational circuit; fan-out is allowed here."""
-
-    def __init__(
-        self,
-        primary_inputs: Sequence[str],
-        gates: Sequence[IrreversibleGate],
-        primary_outputs: Sequence[str],
-        name: str = "",
-    ):
-        self.primary_inputs = tuple(primary_inputs)
-        self.gates = tuple(gates)
-        self.primary_outputs = tuple(primary_outputs)
-        self.name = name
-        producer = {g.output: i for i, g in enumerate(self.gates)}
-        deps = {
-            i: {producer[w] for w in g.inputs if w in producer}
-            for i, g in enumerate(self.gates)
-        }
-        self._order = tuple(graphlib.TopologicalSorter(deps).static_order())
-
-    def simulate(self, inputs: Mapping[str, int]) -> dict[str, int]:
-        values = {w: inputs[w] for w in self.primary_inputs}
-        for idx in self._order:
-            g = self.gates[idx]
-            values[g.output] = g.eval([values[w] for w in g.inputs])
-        return values
-
-    def output_values(self, wire_values: Mapping[str, int]) -> dict[str, int]:
-        return {w: wire_values[w] for w in self.primary_outputs}
-
-    def __repr__(self) -> str:
-        return (
-            f"IrreversibleNetlist({self.name!r}, {len(self.primary_inputs)} in, "
-            f"{len(self.gates)} gates)"
-        )
-
-
-def build_irreversible_cpa(width: int) -> IrreversibleNetlist:
-    """AND/XOR/OR ripple adder, arithmetic twin of `build_cpa`."""
+    Per slice: x = a xor b, s = x xor carry, and the next carry is
+    (a and b) or (x and carry). Each of a, b, x and the incoming carry
+    is read twice, so a FEYNMAN gate on a constant 0 first copies it.
+    """
     _check_width(width)
     gates = []
+    consts: dict[str, int] = {}
+
+    def copy(wire: str) -> tuple[str, str]:
+        consts[f"{wire}_z"] = 0
+        gates.append(GateInstance(FEYNMAN, (wire, f"{wire}_z"), (f"{wire}_0", f"{wire}_1")))
+        return f"{wire}_0", f"{wire}_1"
+
     carry = "cin"
     for i in range(width):
         carry_out = f"c{i + 1}" if i < width - 1 else "cout"
+        a, a2 = copy(f"a{i}")
+        b, b2 = copy(f"b{i}")
+        gates.append(GateInstance(XOR, (a, b), (f"x{i}",)))
+        x, x2 = copy(f"x{i}")
+        c, c2 = copy(carry)
         gates += [
-            IrreversibleGate("xor", (f"a{i}", f"b{i}"), f"x{i}"),
-            IrreversibleGate("xor", (f"x{i}", carry), f"s{i}"),
-            IrreversibleGate("and", (f"a{i}", f"b{i}"), f"m{i}"),
-            IrreversibleGate("and", (f"x{i}", carry), f"n{i}"),
-            IrreversibleGate("or", (f"m{i}", f"n{i}"), carry_out),
+            GateInstance(XOR, (x, c), (f"s{i}",)),
+            GateInstance(AND, (a2, b2), (f"m{i}",)),
+            GateInstance(AND, (x2, c2), (f"n{i}",)),
+            GateInstance(OR, (f"m{i}", f"n{i}"), (carry_out,)),
         ]
         carry = carry_out
-    return IrreversibleNetlist(
+    return Netlist(
         primary_inputs=[f"a{i}" for i in range(width)]
         + [f"b{i}" for i in range(width)]
         + ["cin"],
+        constants=consts,
         gates=gates,
         primary_outputs=[f"s{i}" for i in range(width)] + ["cout"],
         name=f"icpa{width}",

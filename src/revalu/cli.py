@@ -18,8 +18,8 @@ import sys
 
 from . import arith, energy, sequential
 from .montgomery import MontDatapath, MontParams, mont_exp, mont_mult_trace
-from .netlist import Netlist, NetlistError, check_reversibility
-from .rnl import RnlSyntaxError, parse_rnl, serialize_rnl
+from .netlist import Netlist, check_reversibility
+from .rnl import parse_rnl, serialize_rnl
 
 
 def _nonneg_int(text: str) -> int:
@@ -459,10 +459,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, getattr(args, "parser", parser))
-    except (NetlistError, RnlSyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # NetlistError and RnlSyntaxError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,11 +24,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
 from statistics import fmean
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .arith import IrreversibleNetlist
 from .bits import hamming_distance
 from .gates import GateKind
 from .netlist import Netlist
@@ -36,22 +34,16 @@ from .netlist import Netlist
 #: Boltzmann constant, J/K (exact SI value).
 K_BOLTZMANN = 1.380649e-23
 
-_MAX_GATE_INPUTS = 16
-
 
 def _entropy(counts: Iterable[int]) -> float:
     total = sum(counts)
     return -sum((c / total) * math.log2(c / total) for c in counts if c)
 
 
-def _gate_loss_from_outputs(n_inputs: int, outputs: Iterable) -> float:
-    return n_inputs - _entropy(Counter(outputs).values())
-
-
 @cache
 def _kind_loss(kind: GateKind) -> float:
     """Entropy drop of one gate kind, computed once: its table is fixed at construction."""
-    return _gate_loss_from_outputs(kind.arity, kind.truth_table.values())
+    return kind.arity - _entropy(Counter(kind.truth_table.values()).values())
 
 
 @dataclass(frozen=True)
@@ -70,42 +62,25 @@ class ErasureReport:
         }
 
 
-def erasure_report(circuit: Netlist | IrreversibleNetlist) -> ErasureReport:
+def erasure_report(circuit: Netlist) -> ErasureReport:
     """Entropy-drop and port-count loss per gate, summed over the circuit.
 
-    Each gate is enumerated exhaustively under uniform inputs. Garbage
-    outputs (reversible netlists only) are counted as deferred erasure.
+    Each gate kind's table is enumerated under uniform inputs; the
+    port-count loss of a gate is its inputs less its outputs. Garbage
+    outputs are counted as deferred erasure.
     """
-    internal = 0.0
-    naive = 0.0
-    if isinstance(circuit, Netlist):
-        for g in circuit.gates:
-            if g.kind.arity > _MAX_GATE_INPUTS:
-                raise ValueError(
-                    f"gate {g.kind.name} has {g.kind.arity} inputs, "
-                    f"too many to enumerate (limit {_MAX_GATE_INPUTS})"
-                )
-            internal += _kind_loss(g.kind)
-            # Reversible gates have as many outputs as inputs.
-        deferred = len(circuit.garbage_outputs)
-    elif isinstance(circuit, IrreversibleNetlist):
-        for g in circuit.gates:
-            if len(g.inputs) > _MAX_GATE_INPUTS:
-                raise ValueError(
-                    f"gate {g.op} has {len(g.inputs)} inputs, "
-                    f"too many to enumerate (limit {_MAX_GATE_INPUTS})"
-                )
-            k = len(g.inputs)
-            outputs = [g.eval(bits) for bits in product((0, 1), repeat=k)]
-            internal += _gate_loss_from_outputs(k, outputs)
-            naive += k - 1
-        deferred = 0
-    else:
+    if not isinstance(circuit, Netlist):
         raise TypeError(f"unsupported circuit type {type(circuit).__name__}")
-    return ErasureReport(internal_bits=internal, naive_bits=naive, deferred_bits=deferred)
+    internal = naive = 0.0
+    for g in circuit.gates:
+        internal += _kind_loss(g.kind)
+        naive += g.kind.arity - g.kind.n_out
+    return ErasureReport(
+        internal_bits=internal, naive_bits=naive, deferred_bits=len(circuit.garbage_outputs)
+    )
 
 
-def erasure_bits(circuit: Netlist | IrreversibleNetlist) -> float:
+def erasure_bits(circuit: Netlist) -> float:
     """Total internal information loss of the circuit, in bits."""
     return erasure_report(circuit).internal_bits
 
@@ -227,15 +202,11 @@ def energy_report(
 ) -> EnergyReport:
     """Combine erasure accounting with optional switching activity.
 
-    `circuit` is a single netlist (reversible or not) or a sequence of
+    `circuit` is a single netlist (reversible or lossy) or a sequence of
     netlists whose erasure figures are summed, e.g. all the
     combinational cores of a datapath.
     """
-    circuits = (
-        [circuit]
-        if isinstance(circuit, (Netlist, IrreversibleNetlist))
-        else list(circuit)
-    )
+    circuits = [circuit] if isinstance(circuit, Netlist) else list(circuit)
     internal = naive = 0.0
     deferred = 0
     for piece in circuits:

@@ -1,13 +1,14 @@
-"""Acyclic reversible combinational netlists.
+"""Acyclic combinational netlists.
 
-A netlist is a set of named wires connected by reversible gate
-instances. The wiring discipline is strict: every wire has exactly one
-driver (primary input, declared constant, or one gate output) and at
-most one sink (one gate input port, or a classification as primary or
-garbage output). Fan-out is a hard violation; duplication must be done
-with explicit copy gates. Under that discipline the whole netlist maps
-its input-plus-constant vector bijectively onto its output-plus-garbage
-vector, and can be simulated both forwards and backwards.
+A netlist is a set of named wires connected by gate instances. The
+wiring discipline is strict: every wire has exactly one driver
+(primary input, declared constant, or one gate output) and at most one
+sink (one gate input port, or a classification as primary or garbage
+output). Fan-out is a hard violation; duplication must be done with
+explicit copy gates. Under that discipline a netlist of bijective gates
+maps its input-plus-constant vector bijectively onto its
+output-plus-garbage vector, and can be simulated both forwards and
+backwards; one with a lossy gate runs forwards only.
 
 Validation is one pass over the gates: it collects every driver and
 sink, finds violations with counts and set operations, and names the
@@ -64,9 +65,9 @@ class GateInstance:
 
     def __init__(self, kind: GateKind, inputs: Iterable[str], outputs: Iterable[str]):
         inputs, outputs = tuple(inputs), tuple(outputs)
-        if len(inputs) != kind.arity or len(outputs) != kind.arity:
+        if len(inputs) != kind.arity or len(outputs) != kind.n_out:
             raise ValueError(
-                f"{kind.name}: needs {kind.arity} inputs and outputs, "
+                f"{kind.name}: needs {kind.arity} inputs and {kind.n_out} outputs, "
                 f"got {len(inputs)} -> {len(outputs)}"
             )
         # One dict in place of a frozen dataclass's one-field-at-a-time setattrs.
@@ -129,7 +130,7 @@ class CostReport:
 
 
 class Netlist:
-    """Combinational reversible circuit. Treat as immutable once built."""
+    """Combinational circuit. Treat as immutable once built."""
 
     def __init__(
         self,
@@ -593,8 +594,10 @@ def check_reversibility(
     exercised. Exhaustive when the source bit count is small enough (or
     forced), sampled otherwise. Every source vector is run forwards,
     its classified outputs are run backwards, and the recovered sources
-    are compared with the originals. The cases run in blocks of 256, one
-    column per source, through `_Plan.forward_rows` and
+    are compared with the originals. A gate that is not bijective
+    refuses to invert, so a netlist with one raises `ValueError` naming
+    its kind instead of returning a report. The cases run in blocks of
+    256, one column per source, through `_Plan.forward_rows` and
     `_Plan.inverse_rows`; only a block whose recovered columns differ is
     scanned row by row, in case order, for the failure messages (at most
     10, after which no further block runs).

@@ -90,9 +90,9 @@ def parse_rnl(text: str, gates: Mapping[str, GateKind] | None = None) -> Netlist
                 )
             ins = [_check_ident(t, lineno, c) for t, c in rest[: arrow[0]]]
             outs = [_check_ident(t, lineno, c) for t, c in rest[arrow[0] + 1 :]]
-            if len(ins) != kind.arity or len(outs) != kind.arity:
+            if len(ins) != kind.arity or len(outs) != kind.n_out:
                 raise RnlSyntaxError(
-                    f"{name_tok} takes {kind.arity} inputs and outputs, "
+                    f"{name_tok} takes {kind.arity} inputs and {kind.n_out} outputs, "
                     f"got {len(ins)} -> {len(outs)}",
                     lineno,
                     name_col,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from .arith import _check_width
 from .bits import from_bits, to_bits
 from .gates import FEYNMAN, FREDKIN
 from .netlist import CostReport, GateInstance, Netlist
@@ -76,12 +77,6 @@ def _one_bit(value: int) -> int:
     if value not in (0, 1):
         raise ValueError(f"latch holds one bit, got {value!r}")
     return value
-
-
-def _check_width(width: int) -> int:
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    return width
 
 
 class ClockedCircuit:

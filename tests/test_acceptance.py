@@ -35,9 +35,10 @@ from revalu import (
     tsg_as_full_adder,
     verify_gate,
 )
-from revalu.arith import IrreversibleGate, IrreversibleNetlist
 from revalu.bits import from_bits, to_bits
 from revalu.cli import main
+from revalu.gates import AND
+from revalu.netlist import GateInstance, Netlist
 
 
 @contextmanager
@@ -262,9 +263,7 @@ def test_criterion_8_energy_accounting():
     with criterion(8, "erasure: reversible 0, AND 1.189 +/- 0.001, kT ln 2 at 300 K"):
         assert erasure_report(build_cpa(4)).internal_bits == 0.0
 
-        single_and = IrreversibleNetlist(
-            ["a", "b"], [IrreversibleGate("and", ("a", "b"), "o")], ["o"]
-        )
+        single_and = Netlist(["a", "b"], {}, [GateInstance(AND, ("a", "b"), ("o",))], ["o"])
         assert erasure_report(single_and).internal_bits == pytest.approx(
             1.189, abs=1e-3
         )

@@ -8,6 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revalu import (
+    AND,
+    FEYNMAN,
+    OR,
+    XOR,
+    Netlist,
     build_cpa,
     build_csa42,
     build_csa52,
@@ -218,6 +223,38 @@ class TestIrreversibleBaseline:
         for a, b, cin in product(range(4), range(4), (0, 1)):
             values = adder.simulate(cpa_inputs(2, a, b, cin))
             assert cpa_result(adder, 2, values) == a + b + cin
+
+
+class TestBaselineNetlist:
+    """The lossy baseline is an ordinary netlist: one sink per wire, copies explicit."""
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_validates_without_fan_out(self, width):
+        adder = build_irreversible_cpa(width)
+        assert isinstance(adder, Netlist)
+        assert adder.validate().ok
+        sinks = [w for g in adder.gates for w in g.inputs]
+        sinks += [*adder.primary_outputs, *adder.garbage_outputs]
+        assert len(sinks) == len(set(sinks))
+        assert not adder.garbage_outputs
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_lossy_gates_keep_slice_order(self, width):
+        kinds = [g.kind for g in build_irreversible_cpa(width).gates]
+        assert [k for k in kinds if k is not FEYNMAN] == [XOR, XOR, AND, AND, OR] * width
+        assert kinds.count(FEYNMAN) == 4 * width
+
+    def test_exhaustive_width_three(self):
+        adder = build_irreversible_cpa(3)
+        for a, b, cin in product(range(8), range(8), (0, 1)):
+            values = adder.simulate(cpa_inputs(3, a, b, cin))
+            assert cpa_result(adder, 3, values) == a + b + cin
+
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "random"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_reversibility_check_refuses_lossy_kinds(self, width, mode):
+        with pytest.raises(ValueError, match=r"^(AND|OR|XOR): truth table is not bijective"):
+            check_reversibility(build_irreversible_cpa(width), mode=mode, samples=50)
 
 
 class TestWidthValidation:

@@ -1,6 +1,9 @@
 """Erasure accounting, trace mechanics, and the difference-of-means harness."""
 
+import json
 import math
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -24,14 +27,14 @@ from revalu import (
     landauer_energy,
     switching_trace,
 )
-from revalu.arith import IrreversibleGate, IrreversibleNetlist
-from revalu.gates import GateKind
+from revalu.gates import AND, NOT, OR, XOR, GateKind
 from revalu.netlist import GateInstance, Netlist
 
 
 def single_gate(op):
+    kind = {"and": AND, "or": OR, "xor": XOR, "not": NOT}[op]
     wires = ("a",) if op == "not" else ("a", "b")
-    return IrreversibleNetlist(wires, [IrreversibleGate(op, wires, "o")], ["o"])
+    return Netlist(wires, {}, [GateInstance(kind, wires, ("o",))], ["o"])
 
 
 class TestErasure:
@@ -219,7 +222,7 @@ class TestDpa:
         # Hamming-distance activity of the conventional adder, evaluated
         # from an all-zero baseline, splits measurably on an operand bit.
         adder = build_irreversible_cpa(4)
-        wires = sorted(set(adder.primary_inputs) | {g.output for g in adder.gates})
+        wires = sorted(set(adder.primary_inputs) | {w for g in adder.gates for w in g.outputs})
         rest = {f"b{i}": 0 for i in range(4)}
         zero = adder.simulate({**{f"a{i}": 0 for i in range(4)}, **rest, "cin": 0})
         traces = []
@@ -323,3 +326,52 @@ class TestLossPerGateKind:
         assert energy_report(crush).erased_bits == self.recount([crush])
         assert energy_report(crush).erased_bits != energy_report(merge).erased_bits
         assert energy_report(pieces).erased_bits == self.recount(pieces)
+
+
+def reference_baseline_erasure(width):
+    """Recount of the baseline adder's erasure from its boolean operators.
+
+    Each slice is XOR, XOR, AND, AND, OR, summed in that order; a
+    k-input one-output gate loses k - H(outputs) bits, and k - 1 by
+    port count; the copies lose nothing, and there is no garbage.
+    """
+    ops = {"and": lambda a, b: a & b, "or": lambda a, b: a | b, "xor": lambda a, b: a ^ b}
+    internal = naive = 0.0
+    for _ in range(width):
+        for op in ("xor", "xor", "and", "and", "or"):
+            k = 2
+            outputs = [ops[op](*bits) for bits in product((0, 1), repeat=k)]
+            counts = Counter(outputs).values()
+            total = sum(counts)
+            internal += k - -sum((c / total) * math.log2(c / total) for c in counts if c)
+            naive += k - 1
+    return internal, naive, 0
+
+
+class TestBaselineErasure:
+    """The baseline as a netlist keeps its erasure figures, float for float."""
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_erasure_report_matches_reference(self, width):
+        internal, naive, deferred = reference_baseline_erasure(width)
+        report = erasure_report(build_irreversible_cpa(width))
+        assert json.dumps(report.as_dict()) == json.dumps(
+            {"internal_bits": internal, "naive_bits": naive, "deferred_bits": deferred}
+        )
+        assert naive == 5.0 * width
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_energy_report_matches_reference(self, width):
+        internal, naive, deferred = reference_baseline_erasure(width)
+        report = energy_report(build_irreversible_cpa(width))
+        assert json.dumps(report.as_dict()) == json.dumps(
+            {
+                "erased_bits": internal,
+                "deferred_erasure_bits": deferred,
+                "erased_bits_naive": naive,
+                "temperature_k": 300.0,
+                "landauer_joules": landauer_energy(internal, 300.0),
+                "signal_transitions": 0.0,
+                "esig_joules": 0.0 * esig_energy(1e-15, 1.0),
+            }
+        )

@@ -6,11 +6,15 @@ from itertools import product
 import pytest
 
 from revalu import (
+    AND,
     FEYNMAN,
     FREDKIN,
+    NOT,
+    OR,
     STANDARD_GATES,
     TOFFOLI,
     TSG,
+    XOR,
     GateKind,
     tsg_as_full_adder,
     verify_gate,
@@ -178,3 +182,50 @@ class TestConstruction:
 
     def test_standard_gate_names(self):
         assert set(STANDARD_GATES) == {"FG", "TG", "FRG", "TSG"}
+
+
+class TestNonSquareKinds:
+    """Gates whose output width is not their arity, and the one-output kinds."""
+
+    @pytest.mark.parametrize(
+        "kind, op",
+        [
+            (AND, lambda a, b: a & b),
+            (OR, lambda a, b: a | b),
+            (XOR, lambda a, b: a ^ b),
+            (NOT, lambda a: 1 - a),
+        ],
+    )
+    def test_one_output_kinds_match_python_operators(self, kind, op):
+        assert kind.n_out == 1
+        for bits in product((0, 1), repeat=kind.arity):
+            assert kind.apply(bits) == (op(*bits),)
+        # NOT alone is a bijection; the 2 -> 1 kinds merge patterns.
+        assert kind.is_bijective == verify_gate(kind).bijective == (kind is NOT)
+
+    def test_injective_copy_is_not_bijective(self):
+        copy = GateKind("COPY", 1, {(0,): (0, 0), (1,): (1, 1)})
+        assert (copy.arity, copy.n_out) == (1, 2)
+        assert not copy.is_bijective
+        assert not verify_gate(copy).bijective
+        with pytest.raises(ValueError, match="not bijective"):
+            copy.invert((1, 1))
+
+    def test_one_through_scans_every_output_position(self):
+        # The input reaches only output 1, a position past the arity.
+        late = GateKind("LATE", 1, {(0,): (0, 0), (1,): (0, 1)})
+        assert verify_gate(late).one_through_inputs == frozenset({0})
+
+    def test_apply_checks_input_width(self):
+        with pytest.raises(ValueError, match="AND: expected 2 bits, got 1"):
+            AND.apply((1,))
+
+    def test_invert_checks_output_width(self):
+        with pytest.raises(ValueError, match="AND: expected 1 bits, got 2"):
+            AND.invert((0, 1))
+
+    def test_mixed_output_widths_refused(self):
+        with pytest.raises(ValueError, match="has wrong width"):
+            GateKind("MIX", 1, {(0,): (0,), (1,): (1, 1)})
+        with pytest.raises(ValueError, match="has wrong width"):
+            GateKind("MIX", 1, {(0,): (0, 0), (1,): (1,)})

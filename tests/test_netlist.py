@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revalu import (
+    AND,
     FEYNMAN,
     FREDKIN,
     TOFFOLI,
@@ -40,6 +41,15 @@ def feynman_copy() -> Netlist:
 
 def passthrough() -> Netlist:
     return Netlist(primary_inputs=["a"], primary_outputs=["a"], name="wire")
+
+
+class TestGateInstance:
+    def test_output_count_follows_the_kind(self):
+        assert GateInstance(AND, ("a", "b"), ("o",)).outputs == ("o",)
+        with pytest.raises(ValueError, match="AND: needs 2 inputs and 1 outputs, got 2 -> 2"):
+            GateInstance(AND, ("a", "b"), ("o", "p"))
+        with pytest.raises(ValueError, match="FG: needs 2 inputs and 2 outputs, got 2 -> 1"):
+            GateInstance(FEYNMAN, ("a", "z"), ("x",))
 
 
 class TestValidate:

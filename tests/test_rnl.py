@@ -3,11 +3,17 @@
 import pytest
 
 from revalu import (
+    AND,
+    NOT,
+    OR,
+    STANDARD_GATES,
+    XOR,
     RnlSyntaxError,
     build_cpa,
     build_csa42,
     build_csa52,
     build_full_adder,
+    build_irreversible_cpa,
     parse_rnl,
     serialize_rnl,
 )
@@ -38,6 +44,12 @@ class TestRoundTrip:
     def test_canonical_form_is_stable(self, make):
         text = serialize_rnl(make())
         assert serialize_rnl(parse_rnl(text)) == text
+
+    def test_lossy_baseline_round_trips_with_its_kinds(self):
+        library = {**STANDARD_GATES, **{k.name: k for k in (AND, OR, XOR, NOT)}}
+        text = serialize_rnl(build_irreversible_cpa(3))
+        assert "gate AND x0_1 cin_1 -> n0" in text
+        assert serialize_rnl(parse_rnl(text, gates=library)) == text
 
     def test_whitespace_and_comments_ignored(self):
         text = """
@@ -80,6 +92,11 @@ class TestErrors:
     def test_arity_mismatch(self):
         with pytest.raises(RnlSyntaxError, match="takes 4 inputs"):
             parse_rnl("input a b\ngate TSG a b -> x y\n")
+
+    def test_output_count_mismatch(self):
+        library = {**STANDARD_GATES, "AND": AND}
+        with pytest.raises(RnlSyntaxError, match="AND takes 2 inputs and 1 outputs, got 2 -> 2"):
+            parse_rnl("input a b\ngate AND a b -> x y\n", gates=library)
 
     def test_missing_arrow(self):
         with pytest.raises(RnlSyntaxError, match="->"):
