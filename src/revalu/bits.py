@@ -48,10 +48,6 @@ def from_bits(bits: Iterable[int]) -> int:
     return value
 
 
-def hamming_weight(bits: Iterable[int]) -> int:
-    return sum(bits)
-
-
 def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")

@@ -78,6 +78,12 @@ _SEQUENTIAL = {
 }
 
 
+def _write_manifest(path: str, manifest: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(manifest, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
 def _cmd_build(args, parser) -> int:
     kind = args.kind
     if kind in ("cpa", "csa42", "csa52", "register", "shiftreg"):
@@ -102,9 +108,7 @@ def _cmd_build(args, parser) -> int:
                 "cost": report.as_dict(),
                 "cores": [serialize_rnl(core) for core in circuit.cores],
             }
-            with open(args.out, "w") as handle:
-                json.dump(manifest, handle, sort_keys=True, indent=2)
-                handle.write("\n")
+            _write_manifest(args.out, manifest)
     elif kind == "montgomery":
         if args.m is None:
             parser.error("build montgomery requires --m (odd modulus)")
@@ -128,9 +132,7 @@ def _cmd_build(args, parser) -> int:
                     serialize_rnl(datapath.final_adder),
                 ],
             }
-            with open(args.out, "w") as handle:
-                json.dump(manifest, handle, sort_keys=True, indent=2)
-                handle.write("\n")
+            _write_manifest(args.out, manifest)
     else:  # pragma: no cover - argparse choices guard this
         parser.error(f"unknown kind {kind!r}")
     _emit(report.as_dict(), args.format)
@@ -225,6 +227,12 @@ def _cmd_montexp(args, parser) -> int:
     return 0
 
 
+def _operand_pairs(params: MontParams, count: int, seed: int) -> list[tuple[int, int]]:
+    """`count` random (x, y) operand pairs below the modulus, drawn from `seed`."""
+    rng = random.Random(seed)
+    return [(rng.randrange(params.modulus), rng.randrange(params.modulus)) for _ in range(count)]
+
+
 def _run_traces(datapath: MontDatapath, pairs) -> list[energy.PowerTrace]:
     traces = []
     for x, y in pairs:
@@ -244,11 +252,7 @@ def _cmd_trace(args, parser) -> int:
         parser.error("--count > 1 draws random operands; drop --x/--y")
     params = MontParams.for_modulus(args.m, args.n)
     if args.count > 1:
-        rng = random.Random(args.seed)
-        pairs = [
-            (rng.randrange(params.modulus), rng.randrange(params.modulus))
-            for _ in range(args.count)
-        ]
+        pairs = _operand_pairs(params, args.count, args.seed)
     else:
         if args.x is None or args.y is None:
             parser.error("trace requires --x and --y (or --count > 1)")
@@ -344,12 +348,7 @@ def _cmd_dpa(args, parser) -> int:
     selector = _parse_selector(args.select or "x:0")
     if args.demo:
         params = MontParams.for_modulus(args.m)
-        rng = random.Random(args.seed)
-        pairs = [
-            (rng.randrange(params.modulus), rng.randrange(params.modulus))
-            for _ in range(args.count)
-        ]
-        traces = _run_traces(MontDatapath(params), pairs)
+        traces = _run_traces(MontDatapath(params), _operand_pairs(params, args.count, args.seed))
     else:
         traces = _read_traces(args.traces)
     differential = energy.dpa_diff_of_means(traces, selector)

@@ -19,16 +19,16 @@ finds the cycle.
 
 Evaluation runs a plan compiled once per validated netlist: every wire
 gets a slot in a flat list of bits, and each gate reads and writes
-fixed slots, in topological order forwards and in reverse order
-backwards. Forwards, each wave of consecutive gates of one kind that
-do not read one another runs as one `map` over the gates, still one
-gate call per gate. Arguments are checked once per call, at the
-boundary (`simulate`, `simulate_inverse`), not per gate. The batch
-runner `forward_rows` hands a gate's result rows straight to the gate
-that reads them and builds columns only for the slots its caller
-reads. `check_reversibility` runs the same plan over blocks of source
-vectors held by column, forwards and then backwards, and compares each
-block in one step.
+fixed slots in topological order. Backwards is a second plan of the
+same kind, with the gates reversed and `invert` in place of `apply`,
+so one scalar and one batch runner serve both directions. The scalar
+`forward` runs each wave of consecutive gates of one kind that do not
+read one another as one `map`, still one gate call per gate. Arguments
+are checked once per call, at the boundary (`simulate`,
+`simulate_inverse`), not per gate. The batch `forward_rows` hands a
+gate's result rows straight to the gate that reads them and builds
+columns only for the slots its caller reads. `check_reversibility`
+runs blocks of source vectors, held by column, through both plans.
 """
 
 from __future__ import annotations
@@ -159,21 +159,9 @@ class Netlist:
     @property
     def wires(self) -> tuple[str, ...]:
         """All wire names, in driver-then-usage order, deduplicated."""
-        seen: dict[str, None] = {}
-        for w in self.primary_inputs:
-            seen.setdefault(w)
-        for w in self.constants:
-            seen.setdefault(w)
-        for g in self.gates:
-            for w in g.inputs:
-                seen.setdefault(w)
-            for w in g.outputs:
-                seen.setdefault(w)
-        for w in self.primary_outputs:
-            seen.setdefault(w)
-        for w in self.garbage_outputs:
-            seen.setdefault(w)
-        return tuple(seen)
+        gate_wires = chain.from_iterable([(*g.inputs, *g.outputs) for g in self.gates])
+        return tuple(dict.fromkeys(chain(self.primary_inputs, self.constants, gate_wires,
+                                         self.primary_outputs, self.garbage_outputs)))
 
     def _labels(self, counts: Mapping[str, int], drivers: bool) -> dict[str, list[str]]:
         """Driver (or sink) labels of each wire counted more than once, in list order.
@@ -305,19 +293,13 @@ class Netlist:
         """The evaluation plan, compiled on first use. Refuses invalid netlists."""
         if self._compiled is None:
             self._require_valid()
-            self._compiled = _Plan(self)
+            gates = [self.gates[i] for i in self._toposort()]
+            self._compiled = _Plan((*self.primary_inputs, *self.constants),
+                                   [(g.kind, g.inputs, g.outputs) for g in gates],
+                                   (*self.primary_outputs, *self.garbage_outputs))
         return self._compiled
 
     # -- simulation --------------------------------------------------
-
-    def _evaluate(self, sources: Mapping[str, int]) -> dict[str, int]:
-        """Propagate from explicit source values (inputs and constants)."""
-        plan = self._plan()
-        try:
-            bits = [sources[w] for w in plan.sources]
-        except KeyError as exc:
-            raise NetlistError(f"wire {exc.args[0]} has no value during evaluation") from None
-        return dict(zip(plan.wires, plan.forward(bits)))
 
     def simulate(self, inputs: Mapping[str, int]) -> dict[str, int]:
         """Forward-simulate and return the value of every wire.
@@ -326,14 +308,7 @@ class Netlist:
         taken from their declarations. Refuses invalid netlists.
         """
         plan = self._plan()
-        if inputs.keys() != plan.input_set:
-            missing = [w for w in self.primary_inputs if w not in inputs]
-            if missing:
-                raise NetlistError(f"missing input assignments: {', '.join(missing)}")
-            unknown = [w for w in inputs if w not in plan.input_set]
-            raise NetlistError(f"unknown inputs: {', '.join(unknown)}")
-        bits = [inputs[w] for w in self.primary_inputs]
-        _require_bits(bits, inputs.items(), "input")
+        bits = _assigned(inputs, self.primary_inputs, "input", inputs.items())
         bits += self.constants.values()
         return dict(zip(plan.wires, plan.forward(bits)))
 
@@ -346,15 +321,9 @@ class Netlist:
         constants a forward run must have used).
         """
         plan = self._plan()
-        if outputs.keys() != plan.output_set:
-            missing = [w for w in plan.outputs if w not in outputs]
-            if missing:
-                raise NetlistError(f"missing output assignments: {', '.join(missing)}")
-            unknown = [w for w in outputs if w not in plan.output_set]
-            raise NetlistError(f"unknown outputs: {', '.join(unknown)}")
-        bits = [outputs[w] for w in plan.outputs]
-        _require_bits(bits, zip(plan.outputs, bits), "output")
-        return dict(zip(plan.sources, plan.inverse(bits)))
+        back = plan.backwards
+        bits = back.forward(_assigned(outputs, plan.outputs, "output"))
+        return dict(zip(plan.sources, map(bits.__getitem__, back.output_slots)))
 
     def output_values(self, wire_values: Mapping[str, int]) -> dict[str, int]:
         """Project a full wire valuation onto the primary outputs."""
@@ -393,6 +362,24 @@ class Netlist:
         )
 
 
+def _assigned(values: Mapping[str, int], wires: Sequence[str], what: str,
+              named: Iterable[tuple[str, int]] | None = None) -> list:
+    """The bits `values` gives `wires`, in order, if it assigns exactly those, each 0/1.
+
+    Names missing wires in `wires` order, unknown ones in mapping order,
+    and the first non-bit in the order of `named` (default: `wires`).
+    """
+    if len(values) != len(wires) or not all(map(values.__contains__, wires)):
+        missing = [w for w in wires if w not in values]
+        if missing:
+            raise NetlistError(f"missing {what} assignments: {', '.join(missing)}")
+        known = set(wires)
+        raise NetlistError(f"unknown {what}s: {', '.join(w for w in values if w not in known)}")
+    bits = [*map(values.__getitem__, wires)]
+    _require_bits(bits, zip(wires, bits) if named is None else named, what)
+    return bits
+
+
 def _require_bits(bits: list, named: Iterable[tuple[str, int]], what: str) -> None:
     """Raise on the first non-bit of `named` unless every one of `bits` is 0/1."""
     if bits.count(0) + bits.count(1) != len(bits):
@@ -409,37 +396,59 @@ def _gather(slots: Sequence[int]):
     return itemgetter(*slots) if slots else lambda bits: ()
 
 
-class _Plan:
-    """A validated netlist compiled to slot indices into a list of bits.
+class _Inverted:
+    """A gate kind run backwards: its `apply` is the kind's `invert`, found at call time."""
 
-    The slots are the primary inputs, then the constants, then each
-    gate's outputs in topological order, so the sources lead the list
-    and every gate writes one contiguous run of slots. `forward` and
-    `inverse` run one vector; `forward_rows` and `inverse_rows` run a
-    batch of them (a rank of latches sharing one core, a block of
-    reversibility cases) held as one column of bits per slot. Each
-    runner is compiled on its first use.
+    __slots__ = ("kind",)
+    apply = property(lambda self: self.kind.invert)
+
+    def __init__(self, kind: GateKind):
+        self.kind = kind
+
+
+class _Plan:
+    """Sources, steps (kind, input wires, output wires) and outputs, compiled to slots.
+
+    The slots are the sources, then each step's outputs in order, so
+    every step writes one contiguous run of slots above those it reads.
+    `forward` runs one vector; `forward_rows` runs a batch of them (a
+    rank of latches sharing one core, a block of reversibility cases)
+    held as one column of bits per slot. A netlist's plan runs its gates
+    in topological order; `backwards` undoes it. Each runner is compiled
+    on its first use.
     """
 
-    def __init__(self, netlist: Netlist):
-        gates = [netlist.gates[i] for i in netlist._toposort()]
-        self.sources = (*netlist.primary_inputs, *netlist.constants)
-        self.wires = (*self.sources, *chain.from_iterable([g.outputs for g in gates]))
-        self.outputs = (*netlist.primary_outputs, *netlist.garbage_outputs)
-        self.input_set = frozenset(netlist.primary_inputs)
-        self.output_set = frozenset(self.outputs)
+    def __init__(self, sources: Sequence[str], steps: list[tuple], outputs: Sequence[str]):
+        self.sources = tuple(sources)
+        self.wires = (*self.sources, *chain.from_iterable([outs for _, _, outs in steps]))
+        self.outputs = tuple(outputs)
         self.slot = dict(zip(self.wires, range(len(self.wires))))
         self.output_slots = [self.slot[w] for w in self.outputs]
         self._pad = [None] * (len(self.wires) - len(self.sources))
         self._programs: dict = {}  # `forward_rows` steps by the slots read
-        #: Per gate in topological order: kind, input slots, output slots lo:hi.
+        #: Per step: kind, input slots, output slots lo:hi.
         self._gates = []
         slot_of = self.slot.__getitem__
         lo = len(self.sources)
-        for g in gates:
-            hi = lo + len(g.outputs)
-            self._gates.append((g.kind, [*map(slot_of, g.inputs)], lo, hi))
+        for kind, ins, outs in steps:
+            hi = lo + len(outs)
+            self._gates.append((kind, [*map(slot_of, ins)], lo, hi))
             lo = hi
+
+    @cached_property
+    def backwards(self) -> "_Plan":
+        """From the outputs back to the sources: each step reversed, in reverse order.
+
+        The single-sink rule makes each wire the output of one step. One
+        `_Inverted` per kind lets `_waves` group a kind's steps as forwards.
+        """
+        inverted = {kind: _Inverted(kind) for kind in {kind for kind, *_ in self._gates}}
+        wires = self.wires
+        steps = [
+            (inverted[kind], wires[lo:hi], [wires[s] for s in in_slots])
+            for kind, in_slots, lo, hi in reversed(self._gates)
+        ]
+        return _Plan(self.outputs, steps, self.sources)
 
     @cached_property
     def _waves(self) -> list[tuple]:
@@ -451,14 +460,14 @@ class _Plan:
         """
         runs: list[list] = []
         for kind, in_slots, lo, hi in self._gates:
-            # In topological order a gate reads only slots below its own.
-            if runs and runs[-1][0] is kind and max(in_slots) < runs[-1][2]:
+            # A step reads only slots below its own.
+            if runs and runs[-1][0] is kind and max(in_slots, default=-1) < runs[-1][2]:
                 runs[-1][1] += in_slots
                 runs[-1][3] += 1
             else:
                 runs.append([kind, [*in_slots], lo, 1])
         return [
-            (kind, _gather(slots), kind.arity if count > 1 else 0)
+            (kind, _gather(slots), len(slots) // count if count > 1 else 0)
             for kind, slots, _, count in runs
         ]
 
@@ -483,15 +492,8 @@ class _Plan:
             ]
         return program
 
-    @cached_property
-    def _inverse(self) -> list[tuple]:
-        return [
-            (kind, _gather(range(lo, hi)), in_slots, lo, hi)
-            for kind, in_slots, lo, hi in reversed(self._gates)
-        ]
-
     def forward(self, sources: Sequence[int]) -> list:
-        """Run forwards from the source bits (inputs, then constants); return all slots.
+        """Run the steps from the source bits; return all slots.
 
         Each wave of gates runs as one `map` of `kind.apply` over its
         gates' input tuples.
@@ -531,37 +533,6 @@ class _Plan:
                     cols[slot] = map(pick, rows)
         return cols
 
-    def inverse(self, outputs: Sequence[int]) -> list:
-        """Run backwards from the classified output bits; return all slots.
-
-        Slots start empty, so a source no gate writes back stays None.
-        """
-        bits = [None] * len(self.wires)
-        for slot, b in zip(self.output_slots, outputs):
-            bits[slot] = b
-        for kind, gather, in_slots, _, _ in self._inverse:
-            for slot, b in zip(in_slots, kind.invert(gather(bits))):
-                bits[slot] = b
-        return bits
-
-    def inverse_rows(self, columns: Sequence[Sequence[int]]) -> list[Sequence[int]]:
-        """Run `inverse` once per row of a batch held by column.
-
-        `columns[k]` holds classified output k's bit in every row (the
-        order of `outputs`); the result holds every slot's bits in every
-        row. Each gate runs on all rows, one `kind.invert` call per row,
-        before the gate that precedes it.
-        """
-        if not columns or not len(columns[0]):
-            return [()] * len(self.wires)
-        cols: list = [None] * len(self.wires)
-        for slot, col in zip(self.output_slots, columns):
-            cols[slot] = col
-        for kind, _, in_slots, lo, hi in self._inverse:
-            for slot, col in zip(in_slots, zip(*map(kind.invert, zip(*cols[lo:hi])))):
-                cols[slot] = col
-        return cols
-
 
 @dataclass(frozen=True)
 class ReversibilityReport:
@@ -597,10 +568,10 @@ def check_reversibility(
     are compared with the originals. A gate that is not bijective
     refuses to invert, so a netlist with one raises `ValueError` naming
     its kind instead of returning a report. The cases run in blocks of
-    256, one column per source, through `_Plan.forward_rows` and
-    `_Plan.inverse_rows`; only a block whose recovered columns differ is
-    scanned row by row, in case order, for the failure messages (at most
-    10, after which no further block runs).
+    256, one column per source, through the plan's `forward_rows` and
+    then its `backwards` plan's; only a block whose recovered columns
+    differ is scanned row by row, in case order, for the failure
+    messages (at most 10, after which no further block runs).
 
     In exhaustive mode no output image is collected, because the round
     trip already proves injectivity: if inverse(forward(x)) == x for
@@ -633,11 +604,12 @@ def check_reversibility(
     else:
         blocks = _random_blocks(n_bits, samples, random.Random(seed))
     failures: list[str] = []
-    read = tuple(plan.output_slots)
+    back_plan = plan.backwards
+    read, back_read = tuple(plan.output_slots), tuple(back_plan.output_slots)
     for columns in blocks:
         slots = plan.forward_rows(columns, read)
-        outputs = [slots[s] for s in plan.output_slots]
-        back = plan.inverse_rows(outputs)[:n_bits]
+        slots = back_plan.forward_rows([slots[s] for s in read], back_read)
+        back = [slots[s] for s in back_read]
         if back == columns:
             continue
         mismatches = (

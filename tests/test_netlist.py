@@ -160,6 +160,16 @@ class TestSimulate:
         with pytest.raises(NetlistError, match=f"input b must be 0 or 1, got {bad!r}"):
             build_full_adder().simulate({"a": 1, "b": bad, "cin": 0})
 
+    @pytest.mark.parametrize("inputs, text", [
+        ({"cin": 2, "a": 3, "b": 0}, "input cin must be 0 or 1, got 2"),  # mapping order
+        ({"cin": 0}, "missing input assignments: a, b"),  # input order
+        ({"y": 0, "cin": 0, "b": 0, "x": 1, "a": 0}, "unknown inputs: y, x"),  # mapping order
+    ])
+    def test_boundary_error_names_wires_in_order(self, inputs, text):
+        with pytest.raises(NetlistError) as info:
+            build_full_adder().simulate(inputs)
+        assert str(info.value) == text
+
     def test_returns_every_wire(self):
         fa = build_full_adder()
         values = fa.simulate({"a": 0, "b": 1, "cin": 0})
@@ -188,6 +198,17 @@ class TestSimulateInverse:
     def test_non_bit_output_rejected(self, bad):
         with pytest.raises(NetlistError, match=f"output y must be 0 or 1, got {bad!r}"):
             feynman_copy().simulate_inverse({"x": 1, "y": bad})
+
+    @pytest.mark.parametrize("outputs, text", [
+        ({"g1": 2, "sum": 0, "cout": 3, "g0": 1}, "output cout must be 0 or 1, got 3"),
+        ({"g1": 0, "sum": 0}, "missing output assignments: cout, g0"),  # output order
+        ({"g1": 0, "sum": 0, "y": 0, "cout": 0, "g0": 1, "x": 1}, "unknown outputs: y, x"),
+    ])
+    def test_boundary_error_names_wires_in_order(self, outputs, text):
+        # A non-bit is named in output order, not in the mapping's.
+        with pytest.raises(NetlistError) as info:
+            build_full_adder().simulate_inverse(outputs)
+        assert str(info.value) == text
 
     def test_feynman_only_round_trip(self):
         n = feynman_copy()
@@ -304,8 +325,9 @@ def reference_failures(netlist: Netlist, mode: str, samples: int = 1000, seed: i
         rng = random.Random(seed)
         vectors = (tuple(rng.randint(0, 1) for _ in sources) for _ in range(samples))
     failures, images = [], set()
+    plan = netlist._plan()
     for vec in vectors:
-        values = netlist._evaluate(dict(zip(sources, vec)))
+        values = dict(zip(plan.wires, plan.forward(vec)))
         out = tuple(values[w] for w in classified)
         images.add(out)
         recovered = netlist.simulate_inverse(dict(zip(classified, out)))
@@ -438,8 +460,9 @@ class TestBijectionExhaustive:
             source = list(netlist.primary_inputs) + list(netlist.constants)
             classified = list(netlist.primary_outputs) + list(netlist.garbage_outputs)
             images = set()
+            plan = netlist._plan()
             for vec in product((0, 1), repeat=len(source)):
-                values = netlist._evaluate(dict(zip(source, vec)))
+                values = dict(zip(plan.wires, plan.forward(vec)))
                 images.add(tuple(values[w] for w in classified))
             assert len(images) == 1 << len(source)
 
@@ -539,6 +562,7 @@ def test_random_netlists_forward_rows_match_reference(netlist, data):
 @given(random_netlists(), st.data())
 def test_random_netlists_inverse_rows_match_scalar_inverse(netlist, data):
     plan = netlist._plan()
+    back = plan.backwards
     width = len(plan.sources)
     rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
                               max_size=5))
@@ -548,12 +572,12 @@ def test_random_netlists_inverse_rows_match_scalar_inverse(netlist, data):
 
     columns = [list(col) for col in zip(*rows)] if rows else [[] for _ in plan.sources]
     forward = plan.forward_rows(columns)
-    slots = plan.inverse_rows(gather_outputs(forward))
-    assert len(slots) == len(plan.wires)
+    slots = back.forward_rows(gather_outputs(forward))
+    assert len(slots) == len(back.wires)
     for r, row in enumerate(rows):
-        expected = plan.inverse(gather_outputs(plan.forward(row)))
-        assert [slots[k][r] for k in range(len(plan.wires))] == expected
-        assert expected[:width] == row
+        expected = back.forward(gather_outputs(plan.forward(row)))
+        assert [slots[k][r] for k in range(len(back.wires))] == expected
+        assert [expected[s] for s in back.output_slots] == row
     if not rows:
         assert all(len(col) == 0 for col in slots)
 
