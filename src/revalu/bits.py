@@ -12,6 +12,7 @@ by bit, to name the first offender.
 
 from __future__ import annotations
 
+from operator import ne
 from typing import Iterable, Sequence
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # digits "0"/"1" to bytes 0/1
@@ -51,4 +52,4 @@ def from_bits(bits: Iterable[int]) -> int:
 def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a, b))
+    return sum(map(ne, a, b))

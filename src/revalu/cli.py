@@ -164,6 +164,8 @@ def _cmd_sim(args, parser) -> int:
     if args.clocked:
         if args.stimulus is None:
             parser.error("sim --clocked requires --stimulus")
+        if args.path is not None or args.inputs is not None:
+            parser.error("sim --clocked takes no netlist path or --inputs")
         if args.clocked in ("register", "shiftreg") and (args.width or 0) < 1:
             parser.error(f"sim --clocked {args.clocked} requires --width")
         circuit = _SEQUENTIAL[args.clocked](args.width)

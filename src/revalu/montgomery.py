@@ -1,11 +1,12 @@
 """Montgomery modular multiplication, word-level and gate-level.
 
-The word-level scan (`_scan`, run by both `mont_mult_word` and
-`mont_mult_trace`) keeps the running value in carry-save form: words S
-and C whose sum is the partial product. Each step adds x_i * Y, then
-s0 * M to clear the parity bit (M is odd, so adding M flips parity),
-checks the parity and halves both words. After n steps S + C equals
-X * Y * 2^(-n) modulo M, up to one final conditional subtraction.
+The word-level scan (`_scan`, one plain loop that both `mont_mult_word`
+and `mont_mult_trace` call) keeps the running value in carry-save form:
+words S and C whose sum is the partial product. Each step adds x_i * Y,
+then s0 * M to clear the parity bit (M is odd, so adding M flips
+parity), checks the parity and halves both words. After n steps S + C
+equals X * Y * 2^(-n) modulo M, up to one final conditional subtraction.
+Only the trace asks the loop for its per-step words.
 
 The gate-level datapath mirrors that loop with reversible hardware:
 
@@ -30,14 +31,14 @@ invariants.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
 from .arith import build_cpa
-# to_bits is re-exported; perfbench's tracer wraps it at this binding site.
+# to_bits is unused here but stays: perfbench's selftest reads it and
+# build_cpa at this binding site to check that the tracer restores both.
 from .bits import _BIT_VALUES, from_bits, to_bits  # noqa: F401
 from .gates import FEYNMAN, TOFFOLI, TSG
 from .netlist import CostReport, GateInstance, Netlist, _require_bits
@@ -130,39 +131,50 @@ class MontTrace:
     product: int
 
 
-def _scan(x: int, y: int, params: MontParams):
-    """Yield (x_i, s0, S1, C1, S2, C2) for each step of the carry-save scan.
+def _scan(x: int, y: int, params: MontParams, steps: list | None = None) -> tuple[int, int]:
+    """Run the carry-save scan and return the final (S, C).
 
-    S1, C1 follow stage 1 (+ x_i * Y) and S2, C2 stage 2 (+ s0 * M),
-    before the halving; x is read once, LSB first. C2 is kept unshifted:
-    stage 2's carry word is C2 << 1, whose low bit is always 0, and the
-    halving undoes that shift. So the parity check, made on every step
-    and also under `python -O`, looks at S2 alone: a check on the carry
-    word's low bit could never fail.
+    Each step adds x_i * Y (stage 1), then s0 * M (stage 2), and halves
+    both words; x is read once, LSB first. The loop branches once on
+    x_i and once on s0. C is kept unshifted after stage 2: the stage's
+    carry word is C << 1, whose low bit is always 0, and the halving
+    undoes that shift. So the parity check, made on every step and also
+    under `python -O`, looks at S alone: a check on the carry word's
+    low bit could never fail. If `steps` is a list, each step appends
+    (x_i, s0, S1, C1, S2, C2), with S2 and C2 taken before the halving.
     """
     m = params.modulus
     s = c = 0
     for xi in format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]:
-        t = s ^ c  # majority(s, c, a) = (s & c) | ((s ^ c) & a)
-        s1 = t ^ y if xi else t
-        c1 = ((s & c) | (t & y)) << 1 if xi else (s & c) << 1
-        s0 = s1 & 1
+        if xi:  # majority(s, c, y) = (s & c) | ((s ^ c) & y)
+            t = s ^ c
+            s1 = t ^ y
+            c1 = ((s & c) | (t & y)) << 1
+        else:
+            s1 = s ^ c
+            c1 = (s & c) << 1
         t = s1 ^ c1
-        s2 = t ^ m if s0 else t
-        c = (s1 & c1) | (t & m) if s0 else s1 & c1
+        if s1 & 1:
+            s = t ^ m
+            c = (s1 & c1) | (t & m)
+        else:
+            s = t
+            c = s1 & c1
         # Adding M when the parity bit is set makes S even: the halving is exact.
-        if s2 & 1:
+        if s & 1:
             raise InvariantError("parity set before halving; halving would be inexact")
-        s = s2 >> 1
-        yield xi, s0, s1, c1, s2, c
+        if steps is not None:
+            steps.append((xi, s1 & 1, s1, c1, s, c))
+        s >>= 1
+    return s, c
 
 
 def mont_mult_word(x: int, y: int, params: MontParams) -> int:
-    """Compute x * y * 2^(-n) mod M by the carry-save scan, drained in C."""
+    """Compute x * y * 2^(-n) mod M by the carry-save scan."""
     _check_operand("x", x, params)
     _check_operand("y", y, params)
-    *_, s2, c = deque(_scan(x, y, params), maxlen=1)[0]
-    p = (s2 >> 1) + c
+    s, c = _scan(x, y, params)
+    p = s + c
     return p - params.modulus if p >= params.modulus else p
 
 
@@ -171,8 +183,10 @@ def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
     _check_operand("x", x, params)
     _check_operand("y", y, params)
     m = params.modulus
+    steps: list = []
+    _scan(x, y, params, steps)
     cycles = []
-    for i, (xi, s0, s1, c1, s2, c) in enumerate(_scan(x, y, params)):
+    for i, (xi, s0, s1, c1, s2, c) in enumerate(steps):
         s = s2 >> 1
         if s + c >= 2 * m:
             raise InvariantError("running sum S + C reached 2M")

@@ -96,6 +96,8 @@ class ClockedCircuit:
     name = ""
     #: The latches whose bits are the element's content, LSB first.
     _observable = _ALL
+    #: The input names `step` reads.
+    _inputs: tuple[str, ...] = ()
 
     def __init__(self, latches: int):
         self._q = [0] * latches
@@ -150,6 +152,15 @@ class ClockedCircuit:
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         raise NotImplementedError
 
+    def _refuse_unknown(self, inputs: Mapping[str, int]) -> None:
+        """Refuse names `step` does not read; call once it has read all it does."""
+        if len(inputs) > len(self._inputs):
+            unknown = [repr(name) for name in inputs if name not in self._inputs]
+            raise ValueError(
+                f"unknown input{'s' * (len(unknown) > 1)} {', '.join(unknown)} for "
+                f"{self.name}; expected {', '.join(map(repr, self._inputs))}"
+            )
+
     def load_value(self, value: int) -> None:
         """Force the stored contents (models a parallel-load/reset rail)."""
         raise NotImplementedError
@@ -165,6 +176,7 @@ class DLatch(ClockedCircuit):
     """Level-sensitive D latch: q' = e*d + e'*q. Transparent while e=1."""
 
     name = "dlatch"
+    _inputs = ("e", "d")
 
     def __init__(self):
         super().__init__(1)
@@ -172,6 +184,7 @@ class DLatch(ClockedCircuit):
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         e = _bit(inputs, "e")
         d = _bit(inputs, "d")
+        self._refuse_unknown(inputs)
         return {"q": self._clock(_ALL, e, (d,))[0]}
 
     def load_value(self, value: int) -> None:
@@ -190,11 +203,13 @@ class Register(ClockedCircuit):
     def __init__(self, width: int):
         self.width = _check_width(width)
         super().__init__(width)
+        self._inputs = ("e", *(f"d{i}" for i in range(width)))
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         # Read every input before any latch moves, so a rejected step changes nothing.
         e = _bit(inputs, "e")
         data = [_bit(inputs, f"d{i}") for i in range(self.width)]
+        self._refuse_unknown(inputs)
         return {f"q{i}": q for i, q in enumerate(self._clock(_ALL, e, data))}
 
     def load(self, value: int) -> None:
@@ -224,6 +239,7 @@ class MasterSlaveDFF(ClockedCircuit):
 
     name = "dff"
     _observable = _SLAVES
+    _inputs = ("cp", "d")
 
     def __init__(self):
         super().__init__(2)
@@ -231,6 +247,7 @@ class MasterSlaveDFF(ClockedCircuit):
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         cp = _bit(inputs, "cp")
         d = _bit(inputs, "d")
+        self._refuse_unknown(inputs)
         return {"q": self._edge(cp, (d,))[0]}
 
     def pulse(self, d: int) -> dict[str, int]:
@@ -254,6 +271,7 @@ class ShiftRegister(ClockedCircuit):
 
     name = "shiftreg"
     _observable = _SLAVES
+    _inputs = ("cp", "sin")
 
     def __init__(self, width: int):
         self.width = _check_width(width)
@@ -262,6 +280,7 @@ class ShiftRegister(ClockedCircuit):
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         cp = _bit(inputs, "cp")
         sin = _bit(inputs, "sin")
+        self._refuse_unknown(inputs)
         return _shift_outputs(self._shift(cp, sin))
 
     def _shift(self, cp: int, sin: int) -> Sequence[int]:

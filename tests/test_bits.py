@@ -1,10 +1,12 @@
 """Bit packing and unpacking against the plain per-bit implementations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revalu.bits import from_bits, to_bits
+from revalu.bits import from_bits, hamming_distance, to_bits
 
 
 def reference_to_bits(value, width):
@@ -95,3 +97,29 @@ def test_edges_of_each_width(width):
         assert to_bits(value, width) == reference_to_bits(value, width)
         assert from_bits(to_bits(value, width)) == value
     assert to_bits(True, width + 1) == reference_to_bits(True, width + 1)
+
+
+def reference_hamming_distance(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return sum(1 for x, y in zip(a, b) if x != y)
+
+
+def test_hamming_distance_matches_reference():
+    rng = random.Random(11)
+    for width in (0, 1, 2, 7, 64, 300):
+        for _ in range(20):
+            a = tuple(rng.randint(0, 1) for _ in range(width))
+            b = tuple(rng.randint(0, 1) for _ in range(width))
+            distance = hamming_distance(a, b)
+            assert type(distance) is int
+            assert distance == reference_hamming_distance(a, b)
+            assert hamming_distance(list(a), b) == distance
+    assert hamming_distance((0, 1, 1, 0), (1, 1, 0, 0)) == 2
+
+
+@pytest.mark.parametrize("a, b", [((0, 1, 1), (1, 0)), ((), (1,)), ([1, 0], (1, 0, 1, 1))])
+def test_hamming_distance_length_mismatch(a, b):
+    message = f"length mismatch: {len(a)} vs {len(b)}"
+    assert outcome(hamming_distance, a, b) == ("ValueError", message)
+    assert outcome(reference_hamming_distance, a, b) == ("ValueError", message)

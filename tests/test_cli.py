@@ -175,6 +175,26 @@ class TestSimAndCost:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    def test_sim_clocked_refuses_unknown_input_name(self, capsys):
+        code, out, err = run(
+            capsys, "sim", "--clocked", "dlatch", "--stimulus", '[{"e":1,"d":1,"typo":0}]'
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown input 'typo' for dlatch; expected 'e', 'd'\n"
+
+    @pytest.mark.parametrize(
+        "extra", [["net.rnl"], ["--inputs", '{"a":1}'], ["net.rnl", "--inputs", "{}"]]
+    )
+    def test_sim_clocked_refuses_netlist_arguments(self, capsys, extra):
+        argv = ["sim", *extra, "--clocked", "dlatch", "--stimulus", '[{"e":1,"d":1}]']
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sim --clocked takes no netlist path or --inputs" in captured.err
+
     def test_cost_command(self, capsys, tmp_path):
         path = tmp_path / "csa.rnl"
         run(capsys, "build", "csa42", "--width", "2", "--out", str(path))

@@ -147,6 +147,29 @@ class TestWordLevel:
         assert trace.product == product
 
 
+    @pytest.mark.parametrize("bits", [1024, 2048])
+    def test_edge_operands_at_benchmark_width(self, bits):
+        # x = 0, 1, 2^(n-1) and the widest all-ones value below m, each
+        # times y = m - 1; together they take all four (x_i, s0) branches.
+        m = random.Random(bits).getrandbits(bits) | (1 << (bits - 1)) | 1
+        params = MontParams.for_modulus(m)
+        assert params.n == bits
+        ones = (1 << bits) - 1
+        if ones >= m:
+            ones >>= 1
+        y = m - 1
+        branches = set()
+        for x in (0, 1, 1 << (bits - 1), ones):
+            cycles, product = reference_scan(x, y, params)
+            assert product == oracle_product(x, y, m, bits)
+            assert mont_mult_word(x, y, params) == product
+            trace = mont_mult_trace(x, y, params)
+            assert trace.cycles == cycles
+            assert trace.product == product
+            branches.update((c.x_bit, c.s0) for c in trace.cycles)
+        assert branches == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
 class TestLoopInvariants:
     def test_running_sum_stays_below_twice_modulus(self):
         params = MontParams.for_modulus(13)

@@ -130,6 +130,9 @@ class TestRegister:
             ({"e": 1, "d0": 1}, "missing input 'd1'"),
             ({"e": 1, "d0": 1, "d1": 2}, "input 'd1' must be 0 or 1"),
             ({"d0": 1, "d1": 1}, "missing input 'e'"),
+            # An unknown name does not change which check speaks first.
+            ({"e": 1, "d0": 1, "d2": 1}, "^missing input 'd1'$"),
+            ({"e": 1, "d0": 1, "d1": 2, "d2": 1}, "^input 'd1' must be 0 or 1, got 2$"),
         ],
     )
     def test_rejected_step_changes_nothing(self, inputs, message):
@@ -190,6 +193,31 @@ class TestShiftRegister:
         sr.load_value(0b110)
         out = sr.pulse(sin=0)
         assert out["sout"] == sr.value & 1
+
+
+class TestUnknownInputs:
+    """`step` refuses input names it does not read, before any latch moves."""
+
+    @pytest.mark.parametrize(
+        "kind, width, inputs, message",
+        [
+            ("dlatch", 1, {"e": 1, "d": 1, "typo": 0},
+             r"^unknown input 'typo' for dlatch; expected 'e', 'd'$"),
+            ("register", 2, {"e": 1, "d0": 1, "d1": 1, "d2": 1},
+             r"^unknown input 'd2' for register; expected 'e', 'd0', 'd1'$"),
+            ("dff", 1, {"cp": 1, "d": 1, "e": 1, "q": 0},
+             r"^unknown inputs 'e', 'q' for dff; expected 'cp', 'd'$"),
+            ("shiftreg", 3, {"cp": 1, "sin": 1, "d": 1},
+             r"^unknown input 'd' for shiftreg; expected 'cp', 'sin'$"),
+        ],
+    )
+    def test_unknown_name_refused_and_nothing_moves(self, kind, width, inputs, message):
+        element = _ELEMENTS[kind](width)
+        element.load_value(1)
+        before = (element.state, element.value, element.garbage_bits_emitted)
+        with pytest.raises(ValueError, match=message):
+            element.step(inputs)
+        assert (element.state, element.value, element.garbage_bits_emitted) == before
 
 
 class TestConstructionLimits:
