@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -64,18 +65,39 @@ def _read_netlist(path: str) -> Netlist:
 
 
 _COMBINATIONAL = {
-    "fa": lambda width: arith.build_full_adder(),
+    "fa": arith.build_full_adder,
     "cpa": arith.build_cpa,
     "csa42": arith.build_csa42,
     "csa52": arith.build_csa52,
 }
 
 _SEQUENTIAL = {
-    "dlatch": lambda width: sequential.DLatch(),
-    "dff": lambda width: sequential.MasterSlaveDFF(),
+    "dlatch": sequential.DLatch,
+    "dff": sequential.MasterSlaveDFF,
     "register": sequential.Register,
     "shiftreg": sequential.ShiftRegister,
 }
+
+
+def _sizing(args, parser, what: str, builder=None) -> tuple:
+    """The arguments `builder` takes from the options: `(width,)` or `()`.
+
+    A builder that declares a parameter needs --width >= 1 and takes no
+    --m or --n; one that declares none takes none of the three. Only
+    montgomery (no builder) takes --m and --n, and it takes no --width.
+    """
+    sized = builder is not None and bool(inspect.signature(builder).parameters)
+    refused = ("width",) if builder is None else ("m", "n") if sized else ("width", "m", "n")
+    for option in refused:
+        if getattr(args, option, None) is not None:  # sim has no --m or --n
+            parser.error(f"{what} takes no --{option}")
+    if not sized:
+        return ()
+    if args.width is None:
+        parser.error(f"{what} requires --width")
+    if args.width < 1:
+        parser.error(f"--width must be >= 1, got {args.width}")
+    return (args.width,)
 
 
 def _write_manifest(path: str, manifest: dict) -> None:
@@ -86,19 +108,15 @@ def _write_manifest(path: str, manifest: dict) -> None:
 
 def _cmd_build(args, parser) -> int:
     kind = args.kind
-    if kind in ("cpa", "csa42", "csa52", "register", "shiftreg"):
-        if args.width is None:
-            parser.error(f"build {kind} requires --width")
-        if args.width < 1:
-            parser.error(f"--width must be >= 1, got {args.width}")
+    sizing = _sizing(args, parser, f"build {kind}", {**_COMBINATIONAL, **_SEQUENTIAL}.get(kind))
     if kind in _COMBINATIONAL:
-        netlist = _COMBINATIONAL[kind](args.width)
+        netlist = _COMBINATIONAL[kind](*sizing)
         report = netlist.cost_report()
         if args.out:
             with open(args.out, "w") as handle:
                 handle.write(serialize_rnl(netlist))
     elif kind in _SEQUENTIAL:
-        circuit = _SEQUENTIAL[kind](args.width)
+        circuit = _SEQUENTIAL[kind](*sizing)
         report = circuit.cost_report()
         if args.out:
             manifest = {
@@ -166,12 +184,13 @@ def _cmd_sim(args, parser) -> int:
             parser.error("sim --clocked requires --stimulus")
         if args.path is not None or args.inputs is not None:
             parser.error("sim --clocked takes no netlist path or --inputs")
-        if args.clocked in ("register", "shiftreg") and (args.width or 0) < 1:
-            parser.error(f"sim --clocked {args.clocked} requires --width")
-        circuit = _SEQUENTIAL[args.clocked](args.width)
+        builder = _SEQUENTIAL[args.clocked]
+        circuit = builder(*_sizing(args, parser, f"sim --clocked {args.clocked}", builder))
         stimulus = _load_json_arg(args.stimulus)
         if not isinstance(stimulus, list):
             raise ValueError("stimulus must be a JSON array of input maps")
+        if not stimulus:
+            raise ValueError("stimulus must hold at least one step")
         for i, step_inputs in enumerate(stimulus):
             _bit_map(step_inputs, f"stimulus step {i}")
         responses = [circuit.step(step_inputs) for step_inputs in stimulus]

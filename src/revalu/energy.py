@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from statistics import fmean
 from typing import Callable, Iterable, Mapping, Sequence
@@ -55,11 +55,7 @@ class ErasureReport:
     deferred_bits: int
 
     def as_dict(self) -> dict:
-        return {
-            "internal_bits": self.internal_bits,
-            "naive_bits": self.naive_bits,
-            "deferred_bits": self.deferred_bits,
-        }
+        return asdict(self)
 
 
 def erasure_report(circuit: Netlist) -> ErasureReport:
@@ -182,15 +178,7 @@ class EnergyReport:
     esig_joules: float
 
     def as_dict(self) -> dict:
-        return {
-            "erased_bits": self.erased_bits,
-            "deferred_erasure_bits": self.deferred_erasure_bits,
-            "erased_bits_naive": self.erased_bits_naive,
-            "temperature_k": self.temperature_k,
-            "landauer_joules": self.landauer_joules,
-            "signal_transitions": self.signal_transitions,
-            "esig_joules": self.esig_joules,
-        }
+        return asdict(self)
 
 
 def energy_report(

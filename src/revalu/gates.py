@@ -21,7 +21,7 @@ the conventional baseline adder; they are not in ``STANDARD_GATES``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Callable, Mapping
 
@@ -185,13 +185,7 @@ class GateReport:
     one_through_inputs: frozenset[int]
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "arity": self.arity,
-            "bijective": self.bijective,
-            "conservative": self.conservative,
-            "one_through_inputs": sorted(self.one_through_inputs),
-        }
+        return {**asdict(self), "one_through_inputs": sorted(self.one_through_inputs)}
 
 
 def verify_gate(gate: GateKind) -> GateReport:
@@ -200,13 +194,9 @@ def verify_gate(gate: GateKind) -> GateReport:
     Reports whether the table is a bijection (never, when the gate has
     more or fewer outputs than inputs), whether it preserves Hamming
     weight, and which input positions pass through verbatim to some
-    output position on every pattern.
+    output position on every pattern. `GateKind` refuses an arity the
+    enumeration could not cover.
     """
-    if gate.arity > MAX_ENUMERABLE_ARITY:
-        raise ValueError(
-            f"{gate.name}: arity {gate.arity} too large for exhaustive "
-            f"verification (limit {MAX_ENUMERABLE_ARITY})"
-        )
     patterns = list(product((0, 1), repeat=gate.arity))
     images = {gate.apply(p) for p in patterns}
     bijective = gate.n_out == gate.arity and len(images) == len(patterns)

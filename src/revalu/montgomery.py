@@ -96,7 +96,7 @@ def _check_operand(name: str, value: int, params: MontParams) -> None:
         )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CycleRecord:
     """One scan step of the multiplier loop."""
 
@@ -107,19 +107,6 @@ class CycleRecord:
     total_after_parity_clear: int
     s: int
     c: int
-
-    def __init__(self, index, x_bit, s0, total_after_multiplicand, total_after_parity_clear, s, c):
-        # One dict in place of the generated one-field-at-a-time setattrs,
-        # which took most of a trace's time; the record stays frozen.
-        object.__setattr__(self, "__dict__", {
-            "index": index,
-            "x_bit": x_bit,
-            "s0": s0,
-            "total_after_multiplicand": total_after_multiplicand,
-            "total_after_parity_clear": total_after_parity_clear,
-            "s": s,
-            "c": c,
-        })
 
 
 @dataclass(frozen=True)
@@ -405,10 +392,7 @@ class MontDatapath:
 
     def cost_report(self) -> CostReport:
         """Field-wise sum over all components (sequential-composition bound)."""
-        total = CostReport(0, 0, 0, 0)
-        for report in self.component_costs().values():
-            total = total + report
-        return total
+        return sum(self.component_costs().values(), CostReport(0, 0, 0, 0))
 
     @property
     def garbage_bits_emitted(self) -> int:

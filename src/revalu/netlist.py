@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .gates import GateKind
@@ -80,7 +80,7 @@ class Violation:
     detail: str
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -113,20 +113,10 @@ class CostReport:
     constant_input_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "gate_count": self.gate_count,
-            "garbage_count": self.garbage_count,
-            "unit_delay": self.unit_delay,
-            "constant_input_count": self.constant_input_count,
-        }
+        return asdict(self)
 
     def __add__(self, other: "CostReport") -> "CostReport":
-        return CostReport(
-            self.gate_count + other.gate_count,
-            self.garbage_count + other.garbage_count,
-            self.unit_delay + other.unit_delay,
-            self.constant_input_count + other.constant_input_count,
-        )
+        return CostReport(*map(add, astuple(self), astuple(other)))
 
 
 class Netlist:
@@ -148,7 +138,7 @@ class Netlist:
         self.garbage_outputs = tuple(garbage_outputs)
         self.name = name
         for wire, value in self.constants.items():
-            if value not in (0, 1):
+            if type(value) is not int or value not in (0, 1):  # 1.0 and True are not bits
                 raise ValueError(f"constant {wire} must be 0 or 1, got {value!r}")
         self._validation: ValidationReport | None = None
         self._topo: tuple[int, ...] | None = None
@@ -544,12 +534,7 @@ class ReversibilityReport:
     failures: tuple[str, ...] = field(default_factory=tuple)
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "cases": self.cases,
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
+        return {**asdict(self), "failures": list(self.failures)}
 
 
 def check_reversibility(

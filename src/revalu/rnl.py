@@ -45,11 +45,9 @@ def parse_rnl(text: str, gates: Mapping[str, GateKind] | None = None) -> Netlist
     unknown gate name.
     """
     gate_lib = STANDARD_GATES if gates is None else gates
-    primary_inputs: list[str] = []
     constants: dict[str, int] = {}
     instances: list[GateInstance] = []
-    primary_outputs: list[str] = []
-    garbage_outputs: list[str] = []
+    wire_lists: dict[str, list[str]] = {"input": [], "output": [], "garbage": []}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -59,10 +57,12 @@ def parse_rnl(text: str, gates: Mapping[str, GateKind] | None = None) -> Netlist
         keyword, kw_col = tokens[0]
         args = tokens[1:]
 
-        if keyword == "input":
+        if keyword in wire_lists:
             if not args:
-                raise RnlSyntaxError("input directive needs at least one wire", lineno, kw_col)
-            primary_inputs.extend(_check_ident(t, lineno, c) for t, c in args)
+                raise RnlSyntaxError(
+                    f"{keyword} directive needs at least one wire", lineno, kw_col
+                )
+            wire_lists[keyword].extend(_check_ident(t, lineno, c) for t, c in args)
         elif keyword == "const":
             if len(args) != 3 or args[1][0] != "=":
                 raise RnlSyntaxError("expected: const <wire> = 0|1", lineno, kw_col)
@@ -98,23 +98,15 @@ def parse_rnl(text: str, gates: Mapping[str, GateKind] | None = None) -> Netlist
                     name_col,
                 )
             instances.append(GateInstance(kind, tuple(ins), tuple(outs)))
-        elif keyword == "output":
-            if not args:
-                raise RnlSyntaxError("output directive needs at least one wire", lineno, kw_col)
-            primary_outputs.extend(_check_ident(t, lineno, c) for t, c in args)
-        elif keyword == "garbage":
-            if not args:
-                raise RnlSyntaxError("garbage directive needs at least one wire", lineno, kw_col)
-            garbage_outputs.extend(_check_ident(t, lineno, c) for t, c in args)
         else:
             raise RnlSyntaxError(f"unknown directive {keyword!r}", lineno, kw_col)
 
     return Netlist(
-        primary_inputs=primary_inputs,
+        primary_inputs=wire_lists["input"],
         constants=constants,
         gates=instances,
-        primary_outputs=primary_outputs,
-        garbage_outputs=garbage_outputs,
+        primary_outputs=wire_lists["output"],
+        garbage_outputs=wire_lists["garbage"],
     )
 
 

@@ -24,6 +24,7 @@ garbage accumulates over time in sequential reversible logic.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import Mapping, Sequence
 
 from .arith import _check_width
@@ -58,14 +59,6 @@ _LATCH_COST = LATCH_CORE.cost_report()
 _ALL = slice(None)
 _MASTERS = slice(0, None, 2)
 _SLAVES = slice(1, None, 2)
-
-
-def _bit(inputs: Mapping[str, int], name: str) -> int:
-    try:
-        value = inputs[name]
-    except KeyError:
-        raise ValueError(f"missing input {name!r}") from None
-    return _input_bit(name, value)
 
 
 def _input_bit(name: str, value: int) -> int:
@@ -152,14 +145,24 @@ class ClockedCircuit:
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         raise NotImplementedError
 
-    def _refuse_unknown(self, inputs: Mapping[str, int]) -> None:
-        """Refuse names `step` does not read; call once it has read all it does."""
-        if len(inputs) > len(self._inputs):
+    def _read(self, inputs: Mapping[str, int]) -> list[int]:
+        """The bits of `self._inputs`, in order, read before any latch moves.
+
+        Refuses the first missing input or non-bit, in that order, then
+        any name `step` does not read; so a rejected step changes nothing.
+        """
+        bits = []
+        for name in self._inputs:
+            if name not in inputs:
+                raise ValueError(f"missing input {name!r}")
+            bits.append(_input_bit(name, inputs[name]))
+        if len(inputs) > len(bits):
             unknown = [repr(name) for name in inputs if name not in self._inputs]
             raise ValueError(
                 f"unknown input{'s' * (len(unknown) > 1)} {', '.join(unknown)} for "
                 f"{self.name}; expected {', '.join(map(repr, self._inputs))}"
             )
+        return bits
 
     def load_value(self, value: int) -> None:
         """Force the stored contents (models a parallel-load/reset rail)."""
@@ -167,9 +170,8 @@ class ClockedCircuit:
 
     def cost_report(self) -> CostReport:
         """The latch core's cost summed over the latches, field by field."""
-        n, c = len(self._q), _LATCH_COST
-        return CostReport(c.gate_count * n, c.garbage_count * n, c.unit_delay * n,
-                          c.constant_input_count * n)
+        n = len(self._q)
+        return CostReport(*(field * n for field in astuple(_LATCH_COST)))
 
 
 class DLatch(ClockedCircuit):
@@ -182,9 +184,7 @@ class DLatch(ClockedCircuit):
         super().__init__(1)
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
-        e = _bit(inputs, "e")
-        d = _bit(inputs, "d")
-        self._refuse_unknown(inputs)
+        e, d = self._read(inputs)
         return {"q": self._clock(_ALL, e, (d,))[0]}
 
     def load_value(self, value: int) -> None:
@@ -206,10 +206,7 @@ class Register(ClockedCircuit):
         self._inputs = ("e", *(f"d{i}" for i in range(width)))
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
-        # Read every input before any latch moves, so a rejected step changes nothing.
-        e = _bit(inputs, "e")
-        data = [_bit(inputs, f"d{i}") for i in range(self.width)]
-        self._refuse_unknown(inputs)
+        e, *data = self._read(inputs)
         return {f"q{i}": q for i, q in enumerate(self._clock(_ALL, e, data))}
 
     def load(self, value: int) -> None:
@@ -245,9 +242,7 @@ class MasterSlaveDFF(ClockedCircuit):
         super().__init__(2)
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
-        cp = _bit(inputs, "cp")
-        d = _bit(inputs, "d")
-        self._refuse_unknown(inputs)
+        cp, d = self._read(inputs)
         return {"q": self._edge(cp, (d,))[0]}
 
     def pulse(self, d: int) -> dict[str, int]:
@@ -278,9 +273,7 @@ class ShiftRegister(ClockedCircuit):
         super().__init__(2 * width)
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
-        cp = _bit(inputs, "cp")
-        sin = _bit(inputs, "sin")
-        self._refuse_unknown(inputs)
+        cp, sin = self._read(inputs)
         return _shift_outputs(self._shift(cp, sin))
 
     def _shift(self, cp: int, sin: int) -> Sequence[int]:

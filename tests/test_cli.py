@@ -73,6 +73,83 @@ class TestBuild:
         assert "gate_count: 1" in out
 
 
+class TestOptionsEachKindTakes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["build", "fa", "--width", "9"], "build fa takes no --width"),
+            (["build", "dlatch", "--width", "2"], "build dlatch takes no --width"),
+            (["build", "dff", "--width", "2"], "build dff takes no --width"),
+            (["build", "montgomery", "--m", "7", "--width", "4"],
+             "build montgomery takes no --width"),
+            (["build", "cpa", "--width", "2", "--m", "7", "--n", "3"], "build cpa takes no --m"),
+            (["build", "csa42", "--width", "2", "--n", "3"], "build csa42 takes no --n"),
+            (["build", "register", "--width", "2", "--m", "7"], "build register takes no --m"),
+            (["build", "fa", "--n", "3"], "build fa takes no --n"),
+            (["sim", "--clocked", "dff", "--width", "7", "--stimulus", '[{"cp":1,"d":1}]'],
+             "sim --clocked dff takes no --width"),
+            (["sim", "--clocked", "dlatch", "--width", "1", "--stimulus", '[{"e":1,"d":1}]'],
+             "sim --clocked dlatch takes no --width"),
+        ],
+    )
+    def test_option_the_kind_does_not_take_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+
+    def test_empty_stimulus_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "sim", "--clocked", "register", "--width", "2", "--stimulus", "[]"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: stimulus must hold at least one step\n"
+
+
+class TestGoldenStdout:
+    """Byte-exact output of invocations whose reports are built from their declarations."""
+
+    def test_build_montgomery(self, capsys):
+        assert run(capsys, "build", "montgomery", "--m", "11") == (
+            0,
+            '{"constant_input_count": 89, "garbage_count": 156, "gate_count": 137, '
+            '"unit_delay": 121}\n',
+            "",
+        )
+
+    def test_verify_cpa4(self, capsys, tmp_path):
+        path = tmp_path / "cpa4.rnl"
+        run(capsys, "build", "cpa", "--width", "4", "--out", str(path))
+        assert run(capsys, "verify", str(path)) == (
+            0,
+            '{"reversibility": {"cases": 1000, "failures": [], "mode": "random", "ok": true}, '
+            '"validation": {"ok": true, "violations": []}}\n',
+            "",
+        )
+
+    def test_trace_energy(self, capsys):
+        assert run(capsys, "trace", "--x", "3", "--y", "5", "--m", "7", "--energy") == (
+            0,
+            '{"energy": {"deferred_erasure_bits": 126, "erased_bits": 0.0, '
+            '"erased_bits_naive": 0.0, "esig_joules": 1.85e-14, "landauer_joules": 0.0, '
+            '"signal_transitions": 37.0, "temperature_k": 300.0}, '
+            '"trace": {"metadata": {"m": 7, "n": 3, "x": 3, "y": 5}, '
+            '"samples": [10.0, 15.0, 12.0]}}\n',
+            "",
+        )
+
+    def test_dpa_demo(self, capsys):
+        assert run(capsys, "dpa", "--demo", "--m", "7", "--count", "8") == (
+            0,
+            '{"differential": [3.1666666666666665, 4.5, 3.666666666666667], '
+            '"peak_cycle": 1, "peak_value": 4.5, "traces": 8}\n',
+            "",
+        )
+
+
 class TestVerify:
     def test_fanout_fixture_fails(self, capsys, tmp_path):
         path = tmp_path / "bad.rnl"

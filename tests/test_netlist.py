@@ -43,6 +43,19 @@ def passthrough() -> Netlist:
     return Netlist(primary_inputs=["a"], primary_outputs=["a"], name="wire")
 
 
+class TestConstants:
+    @pytest.mark.parametrize("value", [2, -1, 1.0, 0.0, True, False, "1", None])
+    def test_only_the_ints_0_and_1(self, value):
+        with pytest.raises(ValueError, match=f"^constant z must be 0 or 1, got {value!r}$"):
+            Netlist(constants={"z": value}, primary_outputs=["z"])
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_declared_bit_serializes_and_parses_back(self, value):
+        netlist = Netlist(constants={"z": value}, primary_outputs=["z"])
+        assert netlist.simulate({}) == {"z": value}
+        assert parse_rnl(serialize_rnl(netlist)).constants == {"z": value}
+
+
 class TestGateInstance:
     def test_output_count_follows_the_kind(self):
         assert GateInstance(AND, ("a", "b"), ("o",)).outputs == ("o",)
