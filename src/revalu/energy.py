@@ -15,17 +15,18 @@ consecutive register-state snapshots, one sample per cycle. The
 difference-of-means analysis on such traces demonstrates the harness
 mechanics only; it says nothing about physical leakage of any real
 device, and zero modelled erasure is an accounting statement, not a
-security proof.
+security proof. The two reports are ``typing.NamedTuple``s; `PowerTrace`
+stays a frozen dataclass for its per-instance dict default and `__len__`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache
 from statistics import fmean
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bits import hamming_distance
 from .gates import GateKind
@@ -46,8 +47,7 @@ def _kind_loss(kind: GateKind) -> float:
     return kind.arity - _entropy(Counter(kind.truth_table.values()).values())
 
 
-@dataclass(frozen=True)
-class ErasureReport:
+class ErasureReport(NamedTuple):
     """Per-circuit information-loss totals, in Shannon bits."""
 
     internal_bits: float
@@ -55,7 +55,7 @@ class ErasureReport:
     deferred_bits: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def erasure_report(circuit: Netlist) -> ErasureReport:
@@ -165,8 +165,7 @@ def dpa_diff_of_means(
     )
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Erasure counts with their joule equivalents for one circuit."""
 
     erased_bits: float
@@ -178,7 +177,7 @@ class EnergyReport:
     esig_joules: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def energy_report(

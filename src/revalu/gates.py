@@ -17,13 +17,13 @@ The standard library of this package, all reversible:
 
 The lossy ``AND``, ``OR``, ``XOR`` (2 -> 1) and ``NOT`` (1 -> 1) build
 the conventional baseline adder; they are not in ``STANDARD_GATES``.
+``GateReport`` is a ``typing.NamedTuple``, cheap to define at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import product
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 Bits = tuple[int, ...]
 
@@ -174,8 +174,7 @@ def tsg_as_full_adder(a: int, b: int, cin: int) -> tuple[int, int]:
     return out[2], out[3]
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(NamedTuple):
     """Exhaustive verification result for a single gate."""
 
     name: str
@@ -185,7 +184,7 @@ class GateReport:
     one_through_inputs: frozenset[int]
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "one_through_inputs": sorted(self.one_through_inputs)}
+        return {**self._asdict(), "one_through_inputs": sorted(self.one_through_inputs)}
 
 
 def verify_gate(gate: GateKind) -> GateReport:

@@ -26,7 +26,9 @@ Each datapath builds, validates and compiles its own two stages and
 final adder when it is constructed, and runs them on register bits
 straight through their plans. Register contents stay bit lists from
 cycle to cycle; they become ints only for the cycle records and the
-invariants.
+invariants. `MontTrace` and `MontRun` are ``typing.NamedTuple``s; `MontParams`
+stays a frozen dataclass because it validates, and `CycleRecord` because
+callers use it with ``dataclasses.asdict`` and ``replace``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import build_cpa
 # to_bits is unused here but stays: perfbench's selftest reads it and
@@ -109,8 +111,7 @@ class CycleRecord:
     c: int
 
 
-@dataclass(frozen=True)
-class MontTrace:
+class MontTrace(NamedTuple):
     params: MontParams
     x: int
     y: int
@@ -315,8 +316,7 @@ def _runner(netlist: Netlist, *words: Sequence[str]):
     return run
 
 
-@dataclass(frozen=True)
-class MontRun:
+class MontRun(NamedTuple):
     """Record of one datapath execution, snapshots included.
 
     `snapshots` holds the concatenated register state after reset and

@@ -29,17 +29,20 @@ are checked once per call, at the boundary (`simulate`,
 gate's result rows straight to the gate that reads them and builds
 columns only for the slots its caller reads. `check_reversibility`
 runs blocks of source vectors, held by column, through both plans.
+
+The four reports are ``typing.NamedTuple``s, cheap to define at import;
+`GateInstance` stays a frozen dataclass because its constructor checks arity.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .gates import GateKind
 
@@ -74,17 +77,15 @@ class GateInstance:
         object.__setattr__(self, "__dict__", {"kind": kind, "inputs": inputs, "outputs": outputs})
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -98,8 +99,7 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Structural cost of a netlist.
 
     `unit_delay` counts gate instances on the longest path from any
@@ -113,10 +113,10 @@ class CostReport:
     constant_input_count: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def __add__(self, other: "CostReport") -> "CostReport":
-        return CostReport(*map(add, astuple(self), astuple(other)))
+        return CostReport(*map(add, self, other))
 
 
 class Netlist:
@@ -354,7 +354,7 @@ class Netlist:
 
 def _assigned(values: Mapping[str, int], wires: Sequence[str], what: str,
               named: Iterable[tuple[str, int]] | None = None) -> list:
-    """The bits `values` gives `wires`, in order, if it assigns exactly those, each 0/1.
+    """The bits `values` gives `wires`, in order, if it assigns exactly those, each int 0/1.
 
     Names missing wires in `wires` order, unknown ones in mapping order,
     and the first non-bit in the order of `named` (default: `wires`).
@@ -366,15 +366,18 @@ def _assigned(values: Mapping[str, int], wires: Sequence[str], what: str,
         known = set(wires)
         raise NetlistError(f"unknown {what}s: {', '.join(w for w in values if w not in known)}")
     bits = [*map(values.__getitem__, wires)]
-    _require_bits(bits, zip(wires, bits) if named is None else named, what)
+    _require_bits(bits, zip(wires, bits) if named is None else named, what, exact=True)
     return bits
 
 
-def _require_bits(bits: list, named: Iterable[tuple[str, int]], what: str) -> None:
-    """Raise on the first non-bit of `named` unless every one of `bits` is 0/1."""
-    if bits.count(0) + bits.count(1) != len(bits):
+def _require_bits(bits: list, named: Iterable[tuple[str, int]], what: str, exact=False) -> None:
+    """Raise on the first non-bit of `named` unless every one of `bits` is 0/1.
+
+    `exact` also refuses True and 1.0; the runners fed from register bits skip it.
+    """
+    if bits.count(0) + bits.count(1) != len(bits) or exact and not {*map(type, bits)} <= {int}:
         for w, b in named:
-            if b not in (0, 1):
+            if b not in (0, 1) or exact and type(b) is not int:
                 raise NetlistError(f"{what} {w} must be 0 or 1, got {b!r}")
 
 
@@ -524,17 +527,16 @@ class _Plan:
         return cols
 
 
-@dataclass(frozen=True)
-class ReversibilityReport:
+class ReversibilityReport(NamedTuple):
     """Result of a forward/inverse round-trip check."""
 
     mode: str
     cases: int
     ok: bool
-    failures: tuple[str, ...] = field(default_factory=tuple)
+    failures: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "failures": list(self.failures)}
+        return {**self._asdict(), "failures": list(self.failures)}
 
 
 def check_reversibility(

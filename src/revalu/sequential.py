@@ -24,7 +24,6 @@ garbage accumulates over time in sequential reversible logic.
 
 from __future__ import annotations
 
-from dataclasses import astuple
 from typing import Mapping, Sequence
 
 from .arith import _check_width
@@ -62,13 +61,13 @@ _SLAVES = slice(1, None, 2)
 
 
 def _input_bit(name: str, value: int) -> int:
-    if value not in (0, 1):
+    if type(value) is not int or value not in (0, 1):  # 1.0 and True are not bits
         raise ValueError(f"input {name!r} must be 0 or 1, got {value!r}")
     return value
 
 
 def _one_bit(value: int) -> int:
-    if value not in (0, 1):
+    if type(value) is not int or value not in (0, 1):  # 1.0 and True are not bits
         raise ValueError(f"latch holds one bit, got {value!r}")
     return value
 
@@ -95,8 +94,8 @@ class ClockedCircuit:
     def __init__(self, latches: int):
         self._q = [0] * latches
         self._latch_steps = 0
-        #: Constant rails, one bit per latch, by their bit (a dict, so 1.0 finds 1).
-        self._rails = {0: (0,) * latches, 1: (1,) * latches}
+        #: Constant rails, one bit per latch, indexed by their bit.
+        self._rails = ((0,) * latches, (1,) * latches)
 
     def _clock(self, latches: slice, e: int, data: Sequence[int]) -> Sequence[int]:
         """Step a rank of latches sharing enable `e`, one data bit each.
@@ -171,7 +170,7 @@ class ClockedCircuit:
     def cost_report(self) -> CostReport:
         """The latch core's cost summed over the latches, field by field."""
         n = len(self._q)
-        return CostReport(*(field * n for field in astuple(_LATCH_COST)))
+        return CostReport(*(field * n for field in _LATCH_COST))
 
 
 class DLatch(ClockedCircuit):

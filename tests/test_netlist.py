@@ -168,7 +168,7 @@ class TestSimulate:
         with pytest.raises(NetlistError, match="invalid"):
             broken.simulate({"a": 0})
 
-    @pytest.mark.parametrize("bad", [2, None, "1"])
+    @pytest.mark.parametrize("bad", [2, None, "1", True, 1.0])  # only the ints 0 and 1 are bits
     def test_non_bit_input_rejected(self, bad):
         with pytest.raises(NetlistError, match=f"input b must be 0 or 1, got {bad!r}"):
             build_full_adder().simulate({"a": 1, "b": bad, "cin": 0})
@@ -177,6 +177,7 @@ class TestSimulate:
         ({"cin": 2, "a": 3, "b": 0}, "input cin must be 0 or 1, got 2"),  # mapping order
         ({"cin": 0}, "missing input assignments: a, b"),  # input order
         ({"y": 0, "cin": 0, "b": 0, "x": 1, "a": 0}, "unknown inputs: y, x"),  # mapping order
+        ({"b": 0, "cin": True, "a": 2}, "input cin must be 0 or 1, got True"),
     ])
     def test_boundary_error_names_wires_in_order(self, inputs, text):
         with pytest.raises(NetlistError) as info:
@@ -207,7 +208,7 @@ class TestSimulateInverse:
         with pytest.raises(NetlistError, match="unknown outputs: bogus"):
             feynman_copy().simulate_inverse({"x": 1, "y": 1, "bogus": 0})
 
-    @pytest.mark.parametrize("bad", [2, None])
+    @pytest.mark.parametrize("bad", [2, None, True, 1.0])
     def test_non_bit_output_rejected(self, bad):
         with pytest.raises(NetlistError, match=f"output y must be 0 or 1, got {bad!r}"):
             feynman_copy().simulate_inverse({"x": 1, "y": bad})

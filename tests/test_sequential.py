@@ -220,6 +220,50 @@ class TestUnknownInputs:
         assert (element.state, element.value, element.garbage_bits_emitted) == before
 
 
+class TestOnlyIntBits:
+    """Every clocked boundary takes only the ints 0 and 1: True and 1.0 are refused."""
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    @pytest.mark.parametrize(
+        "kind, width, inputs, name",
+        [
+            ("dlatch", 1, {"e": 1, "d": 0}, "e"),
+            ("dlatch", 1, {"e": 1, "d": 0}, "d"),
+            ("register", 2, {"e": 1, "d0": 0, "d1": 0}, "d1"),
+            ("dff", 1, {"cp": 1, "d": 0}, "cp"),
+            ("dff", 1, {"cp": 1, "d": 0}, "d"),
+            ("shiftreg", 2, {"cp": 1, "sin": 0}, "sin"),
+        ],
+    )
+    def test_step(self, kind, width, inputs, name, bad):
+        element = _ELEMENTS[kind](width)
+        with pytest.raises(ValueError) as info:
+            element.step({**inputs, name: bad})
+        assert str(info.value) == f"input {name!r} must be 0 or 1, got {bad!r}"
+        assert (set(element.state), element.garbage_bits_emitted) == ({0}, 0)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    @pytest.mark.parametrize(
+        "make, name", [(MasterSlaveDFF, "d"), (lambda: ShiftRegister(2), "sin")],
+        ids=["dff", "shiftreg"],
+    )
+    def test_pulse(self, make, name, bad):
+        element = make()
+        with pytest.raises(ValueError) as info:
+            element.pulse(bad)
+        assert str(info.value) == f"input {name!r} must be 0 or 1, got {bad!r}"
+        assert (set(element.state), element.garbage_bits_emitted) == ({0}, 0)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    @pytest.mark.parametrize("make", [DLatch, MasterSlaveDFF])
+    def test_load_value(self, make, bad):
+        element = make()
+        with pytest.raises(ValueError) as info:
+            element.load_value(bad)
+        assert str(info.value) == f"latch holds one bit, got {bad!r}"
+        assert set(element.state) == {0}
+
+
 class TestConstructionLimits:
     def test_zero_width_register(self):
         with pytest.raises(ValueError, match="width"):
