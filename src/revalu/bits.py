@@ -19,6 +19,13 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # digits "0"/"1" to bytes 0/1
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # and back
 
 
+def _require_int(name: str, value: int) -> int:
+    """The value, if it is exactly an int: True and 1.0 are not words."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return value
+
+
 def to_bits(value: int, width: int) -> tuple[int, ...]:
     """Expand a non-negative integer into `width` bits, LSB first."""
     if value < 0:

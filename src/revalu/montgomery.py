@@ -1,14 +1,16 @@
 """Montgomery modular multiplication, word-level and gate-level.
 
-The word-level scan (`_scan`, one plain loop that both `mont_mult_word`
-and `mont_mult_trace` call) keeps the running value in carry-save form:
-words S and C whose sum is the partial product. Each step adds x_i * Y,
-then s0 * M to clear the parity bit (M is odd, so adding M flips
-parity), checks the parity and halves both words. After n steps S + C
-equals X * Y * 2^(-n) modulo M, up to one final conditional subtraction.
-Only the trace asks the loop for its per-step words.
+`mont_mult_word` runs radix-2 Montgomery on one running total T: each
+step adds x_i * Y, then M if T is odd (M is odd, so that clears the
+parity bit), checks the parity and halves T. After n steps T equals
+X * Y * 2^(-n) modulo M, up to one final conditional subtraction.
+`mont_mult_trace` runs the same steps on the carry-save words S and C
+whose sum is T, as the hardware does, so that it can record them. The
+two agree step for step: the carry word is even after each stage, so
+the low bit of S is the parity of T, and both loops add the same
+multiples of M to the same totals and fail the same parity checks.
 
-The gate-level datapath mirrors that loop with reversible hardware:
+The gate-level datapath runs the carry-save loop on reversible hardware:
 
     shift regs (S, C) --> CSA stage 1 (+ x_i * Y) --> registers S, C
         ^                                                  | LSB tap
@@ -41,7 +43,7 @@ from typing import NamedTuple, Sequence
 from .arith import build_cpa
 # to_bits is unused here but stays: perfbench's selftest reads it and
 # build_cpa at this binding site to check that the tracer restores both.
-from .bits import _BIT_VALUES, from_bits, to_bits  # noqa: F401
+from .bits import _BIT_VALUES, _require_int, from_bits, to_bits  # noqa: F401
 from .gates import FEYNMAN, TOFFOLI, TSG
 from .netlist import CostReport, GateInstance, Netlist, _require_bits
 from .sequential import ClockedCircuit, Register, ShiftRegister
@@ -63,6 +65,8 @@ class MontParams:
     n: int
 
     def __post_init__(self):
+        _require_int("modulus", self.modulus)
+        _require_int("n", self.n)
         if self.modulus < 1 or self.modulus % 2 == 0:
             raise ValueError(f"modulus must be odd and positive, got {self.modulus}")
         if self.n < 1:
@@ -75,6 +79,7 @@ class MontParams:
     @classmethod
     def for_modulus(cls, modulus: int, n: int | None = None) -> "MontParams":
         """Params with the minimal scan length unless n is given."""
+        _require_int("modulus", modulus)
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
         return cls(modulus, modulus.bit_length() if n is None else n)
@@ -91,6 +96,7 @@ class MontParams:
 
 
 def _check_operand(name: str, value: int, params: MontParams) -> None:
+    _require_int(name, value)
     if not 0 <= value < params.modulus:
         raise ValueError(
             f"{name}={value} out of range [0, {params.modulus}) for modulus "
@@ -119,21 +125,43 @@ class MontTrace(NamedTuple):
     product: int
 
 
-def _scan(x: int, y: int, params: MontParams, steps: list | None = None) -> tuple[int, int]:
-    """Run the carry-save scan and return the final (S, C).
+def mont_mult_word(x: int, y: int, params: MontParams) -> int:
+    """Compute x * y * 2^(-n) mod M on the running total.
 
-    Each step adds x_i * Y (stage 1), then s0 * M (stage 2), and halves
-    both words; x is read once, LSB first. The loop branches once on
-    x_i and once on s0. C is kept unshifted after stage 2: the stage's
-    carry word is C << 1, whose low bit is always 0, and the halving
-    undoes that shift. So the parity check, made on every step and also
-    under `python -O`, looks at S alone: a check on the carry word's
-    low bit could never fail. If `steps` is a list, each step appends
-    (x_i, s0, S1, C1, S2, C2), with S2 and C2 taken before the halving.
+    Each step adds x_i * Y, then M if the total is odd, and halves it;
+    x is read once, LSB first. Adding an odd M leaves the total even,
+    so the parity check, made on every step and also under `python -O`,
+    fails only for a modulus forced even past `MontParams`.
     """
+    _check_operand("x", x, params)
+    _check_operand("y", y, params)
+    m = params.modulus
+    t = 0
+    for xi in format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]:
+        if xi:
+            t += y
+        if t & 1:
+            t += m
+            if t & 1:
+                raise InvariantError("parity set before halving; halving would be inexact")
+        t >>= 1
+    return t - m if t >= m else t
+
+
+def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
+    """As `mont_mult_word`, on the carry-save words S and C, recording each step.
+
+    Stage 1 adds x_i * Y and stage 2 s0 * M. C is kept unshifted after
+    stage 2: the stage's carry word is C << 1, whose low bit is always
+    0, and the halving undoes that shift, so the parity check looks at
+    S alone. The trace also checks S + C < 2M after each halving.
+    """
+    _check_operand("x", x, params)
+    _check_operand("y", y, params)
     m = params.modulus
     s = c = 0
-    for xi in format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]:
+    cycles = []
+    for i, xi in enumerate(format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]):
         if xi:  # majority(s, c, y) = (s & c) | ((s ^ c) & y)
             t = s ^ c
             s1 = t ^ y
@@ -142,39 +170,15 @@ def _scan(x: int, y: int, params: MontParams, steps: list | None = None) -> tupl
             s1 = s ^ c
             c1 = (s & c) << 1
         t = s1 ^ c1
-        if s1 & 1:
-            s = t ^ m
+        s0 = s1 & 1
+        if s0:
+            s2 = t ^ m
             c = (s1 & c1) | (t & m)
         else:
-            s = t
+            s2 = t
             c = s1 & c1
-        # Adding M when the parity bit is set makes S even: the halving is exact.
-        if s & 1:
+        if s2 & 1:
             raise InvariantError("parity set before halving; halving would be inexact")
-        if steps is not None:
-            steps.append((xi, s1 & 1, s1, c1, s, c))
-        s >>= 1
-    return s, c
-
-
-def mont_mult_word(x: int, y: int, params: MontParams) -> int:
-    """Compute x * y * 2^(-n) mod M by the carry-save scan."""
-    _check_operand("x", x, params)
-    _check_operand("y", y, params)
-    s, c = _scan(x, y, params)
-    p = s + c
-    return p - params.modulus if p >= params.modulus else p
-
-
-def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
-    """As `mont_mult_word`, recording each step; checks S + C < 2M after each halving."""
-    _check_operand("x", x, params)
-    _check_operand("y", y, params)
-    m = params.modulus
-    steps: list = []
-    _scan(x, y, params, steps)
-    cycles = []
-    for i, (xi, s0, s1, c1, s2, c) in enumerate(steps):
         s = s2 >> 1
         if s + c >= 2 * m:
             raise InvariantError("running sum S + C reached 2M")
@@ -202,6 +206,8 @@ def mont_exp(a: int, b: int, modulus: int) -> int:
     product; operands enter the residue domain once and the result
     leaves it once at the end.
     """
+    _require_int("b", b)
+    _require_int("modulus", modulus)
     if modulus < 3 or modulus % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {modulus}")
     if b < 0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .arith import _check_width
-from .bits import from_bits, to_bits
+from .bits import _require_int, from_bits, to_bits
 from .gates import FEYNMAN, FREDKIN
 from .netlist import CostReport, GateInstance, Netlist
 
@@ -210,7 +210,7 @@ class Register(ClockedCircuit):
 
     def load(self, value: int) -> None:
         """Clock the value in through the latches (one step with e=1)."""
-        self._load_bits(to_bits(value, self.width))
+        self._load_bits(to_bits(_require_int("value", value), self.width))
 
     def _load_bits(self, bits: Sequence[int]) -> None:
         """As `load`, for a caller that holds the bits, LSB first."""
@@ -221,7 +221,7 @@ class Register(ClockedCircuit):
         self._clock(_ALL, 0, self._rails[0])
 
     def load_value(self, value: int) -> None:
-        self._q[:] = to_bits(value, self.width)
+        self._q[:] = to_bits(_require_int("value", value), self.width)
 
 
 class MasterSlaveDFF(ClockedCircuit):
@@ -287,7 +287,7 @@ class ShiftRegister(ClockedCircuit):
         return self._shift(0, sin)
 
     def load_value(self, value: int) -> None:
-        self._force_bits(to_bits(value, self.width))
+        self._force_bits(to_bits(_require_int("value", value), self.width))
 
     def _force_bits(self, bits: Sequence[int]) -> None:
         """As `load_value`, for a caller that holds the `width` bits, LSB first."""

@@ -527,6 +527,95 @@ class TestWordLevelInvariants:
         assert all(": InvariantError: parity" in line for line in lines), lines
 
 
+class TestWordMatchesTrace:
+    """The total-only product and the carry-save trace make the same steps."""
+
+    def test_every_small_odd_modulus(self):
+        for m in range(1, 1 << 6, 2):
+            params = MontParams.for_modulus(m)
+            for x in range(m):
+                for y in range(m):
+                    product = mont_mult_word(x, y, params)
+                    assert product == mont_mult_trace(x, y, params).product
+                    assert product == oracle_product(x, y, m, params.n)
+
+    def test_forced_even_moduli_fail_alike(self):
+        def outcome(product):
+            try:
+                return product()
+            except mg.InvariantError as exc:
+                return f"InvariantError: {exc}"
+
+        failures = 0
+        for m in range(2, 1 << 5, 2):
+            for n in range(m.bit_length(), m.bit_length() + 3):
+                params = object.__new__(MontParams)
+                object.__setattr__(params, "modulus", m)
+                object.__setattr__(params, "n", n)
+                for x in range(m):
+                    for y in range(m):
+                        word = outcome(lambda: mont_mult_word(x, y, params))
+                        trace = outcome(lambda: mont_mult_trace(x, y, params).product)
+                        assert word == trace, (m, n, x, y)
+                        failures += isinstance(word, str)
+        assert failures > 0
+
+
+class TestOnlyIntWords:
+    """Word-valued operands and parameters are ints: True and 1.0 are refused."""
+
+    P7 = MontParams(7, 3)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda v, p: mont_mult_word(v, 1, p), "x"),
+            (lambda v, p: mont_mult_word(1, v, p), "y"),
+            (lambda v, p: mont_mult_trace(v, 1, p), "x"),
+            (to_mont, "x"),
+            (from_mont, "xbar"),
+        ],
+        ids=["word-x", "word-y", "trace-x", "to_mont", "from_mont"],
+    )
+    def test_word_level_operands(self, call, name, bad):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
+            call(bad, self.P7)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    @pytest.mark.parametrize(
+        "args, name", [((None, 3, 7), "a"), ((5, None, 7), "b"), ((5, 3, None), "modulus")],
+        ids=["a", "b", "modulus"],
+    )
+    def test_mont_exp(self, args, name, bad):
+        args = tuple(bad if v is None else v for v in args)
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            mont_exp(*args)
+
+    @pytest.mark.parametrize("bad", [True, 3.0])
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda v: MontParams(v, 3), "modulus"),
+            (lambda v: MontParams(7, v), "n"),
+            (MontParams.for_modulus, "modulus"),
+        ],
+        ids=["modulus", "n", "for_modulus"],
+    )
+    def test_params(self, build, name, bad):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            build(bad)
+
+    @pytest.mark.parametrize("x, y", [(1.0, 2), (True, 2), (1, 2.0)])
+    def test_datapath_run_moves_no_state(self, x, y):
+        datapath = MontDatapath(self.P7)
+        datapath.run(3, 5)
+        before = datapath._snapshot()
+        with pytest.raises(TypeError, match="must be an int"):
+            datapath.run(x, y)
+        assert datapath._snapshot() == before
+
+
 class TestExponentiation:
     def test_five_cubed_mod_seven(self):
         assert mont_exp(5, 3, 7) == 6

@@ -264,6 +264,28 @@ class TestOnlyIntBits:
         assert set(element.state) == {0}
 
 
+class TestOnlyIntWords:
+    """Word loads take only ints: True and 1.0 are refused before any latch moves."""
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    @pytest.mark.parametrize(
+        "make, load",
+        [
+            (lambda: Register(2), "load_value"),
+            (lambda: Register(2), "load"),
+            (lambda: ShiftRegister(2), "load_value"),
+        ],
+        ids=["register-load_value", "register-load", "shiftreg-load_value"],
+    )
+    def test_load(self, make, load, bad):
+        element = make()
+        element.load_value(2)
+        with pytest.raises(TypeError) as info:
+            getattr(element, load)(bad)
+        assert str(info.value) == f"value must be an int, got {type(bad).__name__}"
+        assert (element.bits, element.garbage_bits_emitted) == ([0, 1], 0)
+
+
 class TestConstructionLimits:
     def test_zero_width_register(self):
         with pytest.raises(ValueError, match="width"):
