@@ -13,6 +13,7 @@ from .arith import (
     build_csa52,
     build_full_adder,
     build_irreversible_cpa,
+    tsg_as_full_adder,
 )
 from .energy import (
     K_BOLTZMANN,
@@ -39,7 +40,6 @@ from .gates import (
     XOR,
     GateKind,
     GateReport,
-    tsg_as_full_adder,
     verify_gate,
 )
 from .montgomery import (

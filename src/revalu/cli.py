@@ -60,8 +60,12 @@ def _bit_map(value, what: str) -> dict:
 
 
 def _read_netlist(path: str) -> Netlist:
+    """Parse a `.rnl` file, refusing one that declares no wire at all."""
     with open(path) as handle:
-        return parse_rnl(handle.read())
+        netlist = parse_rnl(handle.read())
+    if not netlist.wires:
+        raise ValueError(f"{path} declares no wires")
+    return netlist
 
 
 _COMBINATIONAL = {
@@ -184,6 +188,8 @@ def _cmd_sim(args, parser) -> int:
             parser.error("sim --clocked requires --stimulus")
         if args.path is not None or args.inputs is not None:
             parser.error("sim --clocked takes no netlist path or --inputs")
+        if args.format == "text":
+            parser.error("sim --clocked prints JSON; drop --format text")
         builder = _SEQUENTIAL[args.clocked]
         circuit = builder(*_sizing(args, parser, f"sim --clocked {args.clocked}", builder))
         stimulus = _load_json_arg(args.stimulus)
@@ -327,7 +333,11 @@ def _parse_selector(spec: str):
             value = metadata[field]
         except KeyError:
             raise ValueError(f"trace metadata has no field {field!r}")
-        return bool((int(value) >> bit) & 1)
+        if type(value) is not int:  # JSON true, 1.5 and "5" are not bit sources
+            raise ValueError(
+                f"trace metadata field {field!r} must be an integer, got {json.dumps(value)}"
+            )
+        return bool((value >> bit) & 1)
 
     return selector
 

@@ -164,16 +164,6 @@ STANDARD_GATES: dict[str, GateKind] = {
 }
 
 
-def tsg_as_full_adder(a: int, b: int, cin: int) -> tuple[int, int]:
-    """One-gate full adder: returns (sum, carry) for a + b + cin.
-
-    Applies the TSG gate to (a, b, 0, cin); the third output is the sum
-    bit and the fourth the carry.
-    """
-    out = TSG.apply((a, b, 0, cin))
-    return out[2], out[3]
-
-
 class GateReport(NamedTuple):
     """Exhaustive verification result for a single gate."""
 

@@ -40,11 +40,11 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .arith import build_cpa
+from .arith import _bus, _copy, _full_adder, build_cpa
 # to_bits is unused here but stays: perfbench's selftest reads it and
 # build_cpa at this binding site to check that the tracer restores both.
 from .bits import _BIT_VALUES, _require_int, from_bits, to_bits  # noqa: F401
-from .gates import FEYNMAN, TOFFOLI, TSG
+from .gates import TOFFOLI
 from .netlist import CostReport, GateInstance, Netlist, _require_bits
 from .sequential import ClockedCircuit, Register, ShiftRegister
 
@@ -242,10 +242,8 @@ def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Net
     """
     # Each wire name is one string object wherever it appears, so its
     # hash is computed once and dict lookups on it match by identity.
-    si, ci, sums, cars = (
-        [f"{word}{j}" for j in range(width)] for word in ("si", "ci", "sum", "car")
-    )
-    operand = [f"{bus}{j}" for j in range(n)]
+    si, ci, sums, cars = (_bus(word, width) for word in ("si", "ci", "sum", "car"))
+    operand = _bus(bus, n)
     gates: list[GateInstance] = []
     garbage: list[str] = []
     consts: dict[str, int] = {}
@@ -260,25 +258,21 @@ def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Net
     lines: list[str] = []
     cur = source
     for k in range(n_copies):
-        zero, through, copy = f"fz{k}", f"ft{k}", f"fc{k}"
-        consts[zero] = 0
-        gates.append(GateInstance(FEYNMAN, (cur, zero), (through, copy)))
+        cur, copy = _copy(gates, consts, cur, f"fz{k}", f"ft{k}", f"fc{k}")
         lines.append(copy)
-        cur = through
     and_lines = lines + [cur] if not tap_lsb else lines
     slice0_a = cur if tap_lsb else si[0]
     assert len(and_lines) == n
 
-    products: list[str] = []
+    products = _bus("p", n)
     for j in range(n):
-        zero, product, waste = f"tz{j}", f"p{j}", (f"tg{j}a", f"tg{j}b")
+        zero, waste = f"tz{j}", (f"tg{j}a", f"tg{j}b")
         consts[zero] = 0
-        gates.append(GateInstance(TOFFOLI, (and_lines[j], operand[j], zero), (*waste, product)))
+        gates.append(GateInstance(TOFFOLI, (and_lines[j], operand[j], zero), (*waste, products[j])))
         garbage += waste
-        products.append(product)
 
     for j in range(width):
-        zero, waste = f"az{j}", (f"fa{j}a", f"fa{j}b")
+        zero = f"az{j}"
         consts[zero] = 0
         if j < n:
             addend = products[j]
@@ -286,8 +280,8 @@ def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Net
             addend = f"pz{j}"
             consts[addend] = 0
         a_in = slice0_a if j == 0 else si[j]
-        gates.append(GateInstance(TSG, (a_in, ci[j], zero, addend), (*waste, sums[j], cars[j])))
-        garbage += waste
+        _full_adder(gates, garbage, a_in, ci[j], zero, addend, (f"fa{j}a", f"fa{j}b"),
+                    sums[j], cars[j])
 
     # MontDatapath.run assembles the sources in this order, constants last.
     primary_inputs = si + ci + operand

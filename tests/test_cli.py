@@ -109,6 +109,46 @@ class TestOptionsEachKindTakes:
         assert err == "error: stimulus must hold at least one step\n"
 
 
+class TestUsageErrorsNamed:
+    """Each usage error exits 2 with its own message and prints nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["build", "cpa"], "build cpa requires --width"),
+            (["build", "montgomery"], "build montgomery requires --m (odd modulus)"),
+            (["montmul", "--x", "abc", "--y", "1", "--m", "7"],
+             "argument --x: not an integer: 'abc'"),
+            (["sim", "--clocked", "dlatch"], "sim --clocked requires --stimulus"),
+            (["sim"], "sim requires a netlist path and --inputs (or --clocked)"),
+            (["trace", "--m", "7"], "trace requires --x and --y (or --count > 1)"),
+            (["sim", "--clocked", "dlatch", "--stimulus", '[{"e":1,"d":1}]', "--format", "text"],
+             "sim --clocked prints JSON; drop --format text"),
+        ],
+    )
+    def test_usage_error_names_its_cause(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+
+
+class TestNetlistFileWithoutWires:
+    @pytest.mark.parametrize("content", ["", "# only a comment\n\n"])
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["cost"], ["sim", "--inputs", "{}"]], ids=["verify", "cost", "sim"]
+    )
+    def test_refused_as_domain_error(self, capsys, tmp_path, content, argv):
+        path = tmp_path / "empty.rnl"
+        path.write_text(content)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path} declares no wires\n"
+
+
 class TestGoldenStdout:
     """Byte-exact output of invocations whose reports are built from their declarations."""
 
@@ -480,6 +520,32 @@ class TestDpaTracesFile:
         code, out, err = run(capsys, "dpa", "--traces", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "value, shown", [([1], "[1]"), (None, "null"), (1.5, "1.5"), ("5", '"5"'), (True, "true")]
+    )
+    def test_selected_field_must_be_an_integer(self, capsys, tmp_path, value, shown):
+        path = tmp_path / "traces.json"
+        traces = [
+            {"samples": [1, 2], "metadata": {"x": value}},
+            {"samples": [2, 2], "metadata": {"x": 0}},
+        ]
+        path.write_text(json.dumps(traces))
+        code, out, err = run(capsys, "dpa", "--traces", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: trace metadata field 'x' must be an integer, got {shown}\n"
+
+    def test_single_object_file_is_read_as_one_trace(self, capsys, tmp_path):
+        path = tmp_path / "traces.json"
+        path.write_text(json.dumps({"samples": [1, 2], "metadata": {"x": 1}}))
+        code, out, err = run(capsys, "dpa", "--traces", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: selector must split traces into two non-empty classes\n"
+
+    def test_selector_on_a_missing_field(self, capsys):
+        code, out, err = run(capsys, "dpa", "--demo", "--select", "z:0")
+        assert code == 1 and out == ""
+        assert err == "error: trace metadata has no field 'z'\n"
 
     def test_well_formed_file_with_float_samples(self, capsys, tmp_path):
         path = tmp_path / "traces.json"

@@ -243,6 +243,11 @@ class TestDpa:
         with pytest.raises(ValueError, match="non-empty"):
             dpa_diff_of_means(traces, lambda md: md["key"] == 1)
 
+    def test_no_traces_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            dpa_diff_of_means([], bool)
+        assert str(excinfo.value) == "no traces given"
+
     def test_ragged_lengths_rejected(self):
         traces = [PowerTrace((1.0,), {"key": 1}), PowerTrace((2.0, 3.0), {"key": 0})]
         with pytest.raises(ValueError, match="ragged"):

@@ -176,6 +176,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="enumerable limit"):
             GateKind.from_function("BIG", 17, lambda *bits: bits)
 
+    @pytest.mark.parametrize(
+        "arity, message",
+        [(0, "gate arity must be positive, got 0"),
+         (17, "gate arity 17 exceeds the enumerable limit 16")],
+    )
+    def test_arity_out_of_range_refused_by_the_constructor(self, arity, message):
+        with pytest.raises(ValueError) as excinfo:
+            GateKind("X", arity, {})
+        assert str(excinfo.value) == message
+
     def test_partial_table_refused(self):
         with pytest.raises(ValueError, match="entries"):
             GateKind("PART", 2, {(0, 0): (0, 0)})

@@ -80,6 +80,16 @@ class TestParams:
         with pytest.raises(ValueError, match="fit"):
             MontParams(9, 3)
 
+    def test_scan_length_must_be_positive(self):
+        with pytest.raises(ValueError) as excinfo:
+            MontParams(7, 0)
+        assert str(excinfo.value) == "n must be >= 1, got 0"
+
+    def test_for_modulus_refuses_zero(self):
+        with pytest.raises(ValueError) as excinfo:
+            MontParams.for_modulus(0)
+        assert str(excinfo.value) == "modulus must be positive, got 0"
+
     def test_minimal_scan_length(self):
         assert MontParams.for_modulus(7).n == 3
         assert MontParams.for_modulus(9).n == 4

@@ -271,6 +271,11 @@ class TestReversibilityCheck:
         with pytest.raises(ValueError, match="samples"):
             check_reversibility(build_cpa(16), samples=samples)  # auto picks random
 
+    def test_exhaustive_mode_refuses_too_many_source_bits(self):
+        with pytest.raises(ValueError) as excinfo:
+            check_reversibility(build_cpa(8), mode="exhaustive")
+        assert str(excinfo.value) == "25 source bits is too many for exhaustive checking"
+
     def test_sample_count_ignored_when_exhaustive(self):
         report = check_reversibility(build_full_adder(), samples=0)
         assert report.mode == "exhaustive" and report.ok and report.cases == 16

@@ -114,6 +114,20 @@ class TestErrors:
         with pytest.raises(RnlSyntaxError, match="wire"):
             parse_rnl("wire a b\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("input\n", "input directive needs at least one wire"),
+            ("const a 0\n", "expected: const <wire> = 0|1"),
+            ("gate\n", "gate directive needs a gate name"),
+        ],
+    )
+    def test_truncated_directive(self, text, message):
+        with pytest.raises(RnlSyntaxError) as excinfo:
+            parse_rnl(text)
+        assert (excinfo.value.line, excinfo.value.col) == (1, 1)
+        assert str(excinfo.value) == f"line 1, col 1: {message}"
+
     def test_invalid_identifier(self):
         with pytest.raises(RnlSyntaxError, match="invalid wire name"):
             parse_rnl("input 0bad\n")
