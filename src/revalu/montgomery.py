@@ -36,7 +36,6 @@ callers use it with ``dataclasses.asdict`` and ``replace``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -46,7 +45,7 @@ from .arith import _bus, _copy, _full_adder, build_cpa
 from .bits import _BIT_VALUES, _require_int, from_bits, to_bits  # noqa: F401
 from .gates import TOFFOLI
 from .netlist import CostReport, GateInstance, Netlist, _require_bits
-from .sequential import ClockedCircuit, Register, ShiftRegister
+from .sequential import _ALL, _MASTERS, _SLAVES, ClockedCircuit, Register, ShiftRegister
 
 
 class InvariantError(RuntimeError):
@@ -399,7 +398,9 @@ class MontDatapath:
         return sum(p.garbage_bits_emitted for p in self._parts)
 
     def _snapshot(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable([part.state for part in self._parts]))
+        s_shift, c_shift, s_reg, c_reg, x_shift, y_reg, m_reg = self._parts
+        return (*s_shift._q, *c_shift._q, *s_reg._q, *c_reg._q, *x_shift._q, *y_reg._q,
+                *m_reg._q)
 
     # -- execution ----------------------------------------------------
 
@@ -408,6 +409,9 @@ class MontDatapath:
 
         Register contents stay bit lists from cycle to cycle; they
         become ints only for the cycle records and the invariants.
+        Parts that clock together share one latch-core call, five per
+        cycle: the S and C loads, then per clock phase the three shift
+        registers' masters and their slaves (at cp=1 with the Y and M holds).
         """
         params = self.params
         _check_operand("x", x, params)
@@ -416,6 +420,12 @@ class MontDatapath:
         s_shift, c_shift, s_reg, c_reg, x_shift, y_reg, m_reg = parts
         for part, value in zip(parts, (0, 0, 0, 0, x, y, params.modulus)):
             part.load_value(value)
+        clock = ClockedCircuit._clock
+        loads = ((s_reg, _ALL), (c_reg, _ALL))
+        masters = [(shift, _MASTERS) for shift in (s_shift, c_shift, x_shift)]
+        slaves = [(shift, _SLAVES) for shift in (s_shift, c_shift, x_shift)]
+        slaves_and_holds = slaves + [(y_reg, _ALL), (m_reg, _ALL)]
+        hold_data = [0] * (2 * params.n)
 
         snapshots = [self._snapshot()]
         cycles = []
@@ -424,8 +434,8 @@ class MontDatapath:
 
             sum1, car1 = self._run1(s_shift.bits + c_shift.bits + y_reg.bits + [xi])
             _invariant(car1[-1] == 0, "stage 1 carry spills past the register")
-            s_reg._load_bits(sum1)
-            c_reg._load_bits((0, *car1[:-1]))  # the carry word, shifted up one place
+            # S and C load together; the carry word moves up one place.
+            clock(loads, 1, (*sum1, 0, *car1[:-1]))
             s_bits, c_bits = s_reg.bits, c_reg.bits
             total_after_multiplicand = from_bits(s_bits) + from_bits(c_bits)
 
@@ -435,25 +445,16 @@ class MontDatapath:
             total_after_parity_clear = from_bits(sum2) + (from_bits(car2) << 1)
 
             s_shift._force_bits(sum2)
-            s_shift._pulse(0)
             c_shift._force_bits((0, *car2[:-1]))
-            c_shift._pulse(0)
-            x_shift._pulse(0)
-            # Holding registers see the clock too; enable stays low.
-            y_reg.hold()
-            m_reg.hold()
+            # One pulse of the three shift registers. The holding
+            # registers see the clock too, with their enable low.
+            feed = s_shift._feed(0) + c_shift._feed(0) + x_shift._feed(0)
+            clock(slaves_and_holds, 0, [*clock(masters, 1, feed), *hold_data])
+            feed = s_shift._feed(0) + c_shift._feed(0) + x_shift._feed(0)
+            clock(slaves, 1, clock(masters, 0, feed))
 
-            cycles.append(
-                CycleRecord(
-                    i,
-                    xi,
-                    s_bits[0],
-                    total_after_multiplicand,
-                    total_after_parity_clear,
-                    s_shift.value,
-                    c_shift.value,
-                )
-            )
+            cycles.append(CycleRecord(i, xi, s_bits[0], total_after_multiplicand,
+                                      total_after_parity_clear, s_shift.value, c_shift.value))
             snapshots.append(self._snapshot())
 
         (total,) = self._add(s_shift.bits + c_shift.bits + [0])  # cin = 0

@@ -11,11 +11,13 @@ netlist.
 Every element is a bank of such latches over one state list, and all
 latches share one validated core. Clock and enable rails may drive any
 number of latches; only data wires are subject to the single-sink
-rule. The unit of work is a rank: the latches that share one enable,
-stepped together by one call that evaluates the core once per latch,
-so no single netlist contains fan-out. A register is one rank; a
-master-slave chain is two, the masters and then the slaves. The
-element classes differ only in wiring.
+rule. The unit of work is a rank: latches of one element that share
+one enable. A register is one rank; a master-slave chain is two, the
+masters and then the slaves. One call of `ClockedCircuit._clock` steps
+any number of ranks that clock together, of one element or of several,
+evaluating the core once per latch, so no single netlist contains
+fan-out; the Montgomery datapath clocks its seven parts in five such
+calls per cycle. The element classes differ only in wiring.
 
 Each latch discards two bits per step (the enable pass-through and the
 Fredkin swap residue); the running total is tracked per element because
@@ -94,28 +96,38 @@ class ClockedCircuit:
     def __init__(self, latches: int):
         self._q = [0] * latches
         self._latch_steps = 0
-        #: Constant rails, one bit per latch, indexed by their bit.
-        self._rails = ((0,) * latches, (1,) * latches)
 
-    def _clock(self, latches: slice, e: int, data: Sequence[int]) -> Sequence[int]:
-        """Step a rank of latches sharing enable `e`, one data bit each.
+    @staticmethod
+    def _clock(
+        ranks: Sequence[tuple[ClockedCircuit, slice]], e: int, data: Sequence[int]
+    ) -> Sequence[int]:
+        """Step ranks of latches that share enable `e`, one data bit per latch.
 
-        One call runs the shared core once per latch, writes the new
-        states and returns the observable outputs in rank order. The
-        enable and constant rails span every latch; the rank's held
-        bits bound the batch.
+        A rank is an element and a slice of its latches. One core call
+        runs every rank, in order; each element takes its new states and
+        its rank's length in latch steps. Returns the observable outputs,
+        concatenated. The enable and constant rails span the merged rank,
+        as the batch is only as long as its shortest column.
         """
-        q = self._q
-        held = q[latches]
-        rails = self._rails
-        slots = _LATCH.forward_rows((rails[e], data, held, rails[0]), _READ)  # e, d, q, z = 0
-        q[latches] = slots[_QS]
-        self._latch_steps += len(held)
+        held: list[int] = []
+        ends: list[int] = []
+        for circuit, latches in ranks:
+            held += circuit._q[latches]
+            ends.append(len(held))
+        rows = len(held)
+        slots = _LATCH.forward_rows(((e,) * rows, data, held, (0,) * rows), _READ)  # e, d, q, z
+        new = slots[_QS]
+        start = 0
+        for (circuit, latches), end in zip(ranks, ends):
+            circuit._q[latches] = new[start:end]
+            circuit._latch_steps += end - start
+            start = end
         return slots[_QO]
 
     def _edge(self, cp: int, feed: Sequence[int]) -> Sequence[int]:
         """Clock the masters on `feed` at cp, then the slaves on the masters at not-cp."""
-        return self._clock(_SLAVES, 1 - cp, self._clock(_MASTERS, cp, feed))
+        masters = self._clock(((self, _MASTERS),), cp, feed)
+        return self._clock(((self, _SLAVES),), 1 - cp, masters)
 
     @property
     def cores(self) -> tuple[Netlist, ...]:
@@ -184,7 +196,7 @@ class DLatch(ClockedCircuit):
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         e, d = self._read(inputs)
-        return {"q": self._clock(_ALL, e, (d,))[0]}
+        return {"q": self._clock(((self, _ALL),), e, (d,))[0]}
 
     def load_value(self, value: int) -> None:
         self._q[0] = _one_bit(value)
@@ -206,19 +218,11 @@ class Register(ClockedCircuit):
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         e, *data = self._read(inputs)
-        return {f"q{i}": q for i, q in enumerate(self._clock(_ALL, e, data))}
+        return {f"q{i}": q for i, q in enumerate(self._clock(((self, _ALL),), e, data))}
 
     def load(self, value: int) -> None:
         """Clock the value in through the latches (one step with e=1)."""
-        self._load_bits(to_bits(_require_int("value", value), self.width))
-
-    def _load_bits(self, bits: Sequence[int]) -> None:
-        """As `load`, for a caller that holds the bits, LSB first."""
-        self._clock(_ALL, 1, bits)
-
-    def hold(self) -> None:
-        """One clock with the enable low (and data 0): every latch keeps its bit."""
-        self._clock(_ALL, 0, self._rails[0])
+        self._clock(((self, _ALL),), 1, to_bits(_require_int("value", value), self.width))
 
     def load_value(self, value: int) -> None:
         self._q[:] = to_bits(_require_int("value", value), self.width)
@@ -273,18 +277,17 @@ class ShiftRegister(ClockedCircuit):
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         cp, sin = self._read(inputs)
-        return _shift_outputs(self._shift(cp, sin))
+        return _shift_outputs(self._edge(cp, self._feed(sin)))
 
-    def _shift(self, cp: int, sin: int) -> Sequence[int]:
-        # Capture neighbours (slave outputs) before any flop moves.
-        return self._edge(cp, self._q[3::2] + [sin])
+    def _feed(self, sin: int) -> list[int]:
+        # Each master's data: its upper neighbour's slave output, read
+        # before any flop moves; `sin` for the MSB.
+        return self._q[3::2] + [sin]
 
     def pulse(self, sin: int = 0) -> dict[str, int]:
-        return _shift_outputs(self._pulse(_input_bit("sin", sin)))
-
-    def _pulse(self, sin: int) -> Sequence[int]:
-        self._shift(1, sin)
-        return self._shift(0, sin)
+        sin = _input_bit("sin", sin)
+        self._edge(1, self._feed(sin))
+        return _shift_outputs(self._edge(0, self._feed(sin)))
 
     def load_value(self, value: int) -> None:
         self._force_bits(to_bits(_require_int("value", value), self.width))

@@ -1,5 +1,6 @@
 """Command-line surface tests, driven through main() for exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -188,6 +189,25 @@ class TestGoldenStdout:
             '"peak_cycle": 1, "peak_value": 4.5, "traces": 8}\n',
             "",
         )
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("montmul --gate-level --trace --m 251 --x 200 --y 123",
+             "3c99d9c26ba2968a0ae0e0aa6def73b9162526f050d805e47f54edaa56e87e75"),
+            ("montmul --gate-level --trace --m 45067 --x 4660 --y 43981",
+             "455ce262d79c8409390043eeece0d370538a9cb2d8fbe2ef8252e9f06e8fdf7e"),
+            ("trace --m 251 --count 8 --seed 1",
+             "b890b8229eb528653221dc94e13d662019bbb9e0aadc2259e6d40819751bd199"),
+            ("dpa --demo --m 251 --count 32",
+             "833fd9907fe8b402b3d24a3469f4e50a39d9e7286c91473841e520f9c011495b"),
+            ("trace --m 7 --x 3 --y 5 --energy",
+             "8b535ef8c8e9609e82fa123bfa8bb9fba3820a445402111696b5c4f06a1f3f9f"),
+        ],
+    )
+    def test_gate_level_runs_by_digest(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 
 
 class TestVerify:
@@ -598,3 +618,14 @@ class TestDeterminism:
             "gate output p1 is neither consumed nor classified",
             "gate output p2 is neither consumed nor classified",
         ]
+
+
+class TestModuleEntry:
+    def test_python_dash_m_revalu_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(revalu.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "revalu", "montmul", "--x", "3", "--y", "5", "--m", "7",
+             "--n", "3"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, b"1\n", b"")

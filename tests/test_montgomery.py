@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 import revalu
 import revalu.montgomery as mg
+from revalu.bits import from_bits
 from revalu.gates import TOFFOLI, GateKind
 from revalu.netlist import GateInstance, Netlist, NetlistError
 from revalu import (
     MontDatapath,
     MontParams,
+    Register,
+    ShiftRegister,
     build_cpa,
     from_mont,
     mont_exp,
@@ -363,6 +366,85 @@ class TestDatapathWork:
             "invert": 0,
         }
         assert datapath.garbage_bits_emitted - garbage_before == 2 * n * latch_steps
+
+    def test_garbage_per_part_is_two_bits_per_own_latch_step(self):
+        params = MontParams.for_modulus(0xB00B)
+        datapath = MontDatapath(params)
+        datapath.run(0x1234, 0xABCD)
+        w, n = params.register_width, params.n
+        latch_steps = {
+            "s_reg": w * n, "c_reg": w * n,
+            "s_shift": 4 * w * n, "c_shift": 4 * w * n, "x_shift": 4 * n * n,
+            "y_reg": n * n, "m_reg": n * n,
+        }
+        assert {name: getattr(datapath, name).garbage_bits_emitted for name in latch_steps} == {
+            name: 2 * steps for name, steps in latch_steps.items()
+        }
+
+    def test_five_latch_core_calls_per_cycle(self, monkeypatch):
+        # The S/C loads, then per clock phase the shift registers'
+        # masters and their slaves (at cp=1 with the Y/M holds).
+        core = revalu.sequential._LATCH
+        real = core.forward_rows
+        calls = []
+        monkeypatch.setattr(core, "forward_rows",
+                            lambda columns, read: calls.append(1) or real(columns, read))
+        params = MontParams.for_modulus(0xB00B)
+        datapath = MontDatapath(params)
+        assert datapath.run(0x1234, 0xABCD) == mont_mult_word(0x1234, 0xABCD, params)
+        assert len(calls) == 5 * params.n
+
+    @staticmethod
+    def _reference_run(datapath, x, y):
+        """The datapath's register snapshots, from fresh parts and public calls only."""
+        params = datapath.params
+        w, n = params.register_width, params.n
+        s_shift, c_shift = ShiftRegister(w), ShiftRegister(w)
+        s_reg, c_reg = Register(w), Register(w)
+        x_shift, y_reg, m_reg = ShiftRegister(n), Register(n), Register(n)
+        parts = (s_shift, c_shift, s_reg, c_reg, x_shift, y_reg, m_reg)
+        for part, value in zip(parts, (0, 0, 0, 0, x, y, params.modulus)):
+            part.load_value(value)
+        hold = {"e": 0, **{f"d{j}": 0 for j in range(n)}}
+
+        def stage(netlist, s_bits, c_bits, bus, operand_bits, **extra):
+            wires = netlist.simulate({
+                **{f"si{j}": b for j, b in enumerate(s_bits)},
+                **{f"ci{j}": b for j, b in enumerate(c_bits)},
+                **{f"{bus}{j}": b for j, b in enumerate(operand_bits)},
+                **extra,
+            })
+            return (from_bits([wires[f"sum{j}"] for j in range(w)]),
+                    from_bits([wires[f"car{j}"] for j in range(w)]))
+
+        def snapshot():
+            return tuple(bit for part in parts for bit in part.state)
+
+        snapshots = [snapshot()]
+        for _ in range(n):
+            sum1, car1 = stage(datapath.stage1, s_shift.bits, c_shift.bits, "y", y_reg.bits,
+                               x=x_shift.bits[0])
+            s_reg.load(sum1)
+            c_reg.load(car1 << 1)
+            sum2, car2 = stage(datapath.stage2, s_reg.bits, c_reg.bits, "m", m_reg.bits)
+            s_shift.load_value(sum2)
+            c_shift.load_value(car2 << 1)
+            for shift in (s_shift, c_shift, x_shift):
+                shift.pulse(0)
+            y_reg.step(hold)
+            m_reg.step(hold)
+            snapshots.append(snapshot())
+        return tuple(snapshots)
+
+    def test_snapshots_match_parts_driven_one_by_one(self):
+        runs = 0
+        for m in range(1, 16, 2):
+            datapath = MontDatapath(MontParams.for_modulus(m))
+            for x, y in sorted({(0, 0), (m - 1, m - 1), (m // 2, m - 1), (1 % m, m // 3)}):
+                datapath.run(x, y)
+                assert datapath.last_run.snapshots == self._reference_run(datapath, x, y)
+                runs += 1
+        assert runs == 29
 
     def test_matches_word_level_for_every_small_odd_modulus(self):
         # Every (x, y) for every odd m < 2^4: 680 runs.

@@ -195,6 +195,28 @@ class TestShiftRegister:
         assert out["sout"] == sr.value & 1
 
 
+class TestLongRanks:
+    """A rank longer than any rail built ahead keeps its length, value and step count."""
+
+    def test_register_load_then_hold(self):
+        width = 5000
+        value = random.Random(5000).getrandbits(width) | 1
+        reg = Register(width)
+        reg.load(value)
+        reg.step({"e": 0, **{f"d{i}": 1 for i in range(width)}})
+        assert (len(reg.state), reg.value) == (width, value)
+        assert reg.garbage_bits_emitted == 2 * 2 * width
+
+    def test_shift_register_pulse(self):
+        width = 3000
+        value = random.Random(3000).getrandbits(width) | 1 << (width - 1) | 1
+        sr = ShiftRegister(width)
+        sr.load_value(value)
+        out = sr.pulse()
+        assert (len(sr.state), sr.value, out["sout"]) == (2 * width, value >> 1, value >> 1 & 1)
+        assert sr.garbage_bits_emitted == 2 * 4 * width
+
+
 class TestUnknownInputs:
     """`step` refuses input names it does not read, before any latch moves."""
 
