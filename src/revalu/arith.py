@@ -59,6 +59,9 @@ def tsg_as_full_adder(a: int, b: int, cin: int) -> tuple[int, int]:
     Applies the TSG gate to (a, b, 0, cin); the third output is the sum
     bit and the fourth the carry.
     """
+    for name, bit in (("a", a), ("b", b), ("cin", cin)):
+        if type(bit) is not int or bit not in (0, 1):  # the table would take True and 1.0
+            raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
     out = TSG.apply((a, b, 0, cin))
     return out[2], out[3]
 

@@ -83,6 +83,20 @@ _SEQUENTIAL = {
 }
 
 
+def _refuse(args, parser, what: str, options) -> None:
+    """Exit 2 on the first of `options` that was given, as `what` takes none of them."""
+    for option in options:
+        if getattr(args, option.replace("-", "_"), None) is not None:  # sim has no --m or --n
+            parser.error(f"{what} takes no --{option}")
+
+
+def _defaults(args, **defaults) -> None:
+    """Give each option that was not given its default, once the refusals have run."""
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def _sizing(args, parser, what: str, builder=None) -> tuple:
     """The arguments `builder` takes from the options: `(width,)` or `()`.
 
@@ -91,10 +105,8 @@ def _sizing(args, parser, what: str, builder=None) -> tuple:
     montgomery (no builder) takes --m and --n, and it takes no --width.
     """
     sized = builder is not None and bool(inspect.signature(builder).parameters)
-    refused = ("width",) if builder is None else ("m", "n") if sized else ("width", "m", "n")
-    for option in refused:
-        if getattr(args, option, None) is not None:  # sim has no --m or --n
-            parser.error(f"{what} takes no --{option}")
+    _refuse(args, parser, what,
+            ("width",) if builder is None else ("m", "n") if sized else ("width", "m", "n"))
     if not sized:
         return ()
     if args.width is None:
@@ -162,6 +174,9 @@ def _cmd_build(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.mode == "exhaustive":
+        _refuse(args, parser, "verify --mode exhaustive", ("samples", "seed"))
+    _defaults(args, samples=1000, seed=0)
     netlist = _read_netlist(args.path)
     validation = netlist.validate()
     result = {"validation": validation.as_dict()}
@@ -204,6 +219,7 @@ def _cmd_sim(args, parser) -> int:
         return 0
     if args.path is None or args.inputs is None:
         parser.error("sim requires a netlist path and --inputs (or --clocked)")
+    _refuse(args, parser, "sim PATH", ("width",))
     netlist = _read_netlist(args.path)
     assignment = _bit_map(_load_json_arg(args.inputs), "inputs")
     values = netlist.simulate(assignment)
@@ -277,13 +293,15 @@ def _cmd_trace(args, parser) -> int:
         parser.error("--energy reports in JSON; drop --format csv")
     if args.count > 1 and (args.x is not None or args.y is not None):
         parser.error("--count > 1 draws random operands; drop --x/--y")
+    if not args.energy:
+        _refuse(args, parser, "trace without --energy", ("temp-k", "cap-f", "vdd"))
     params = MontParams.for_modulus(args.m, args.n)
-    if args.count > 1:
-        pairs = _operand_pairs(params, args.count, args.seed)
-    else:
+    if args.count == 1:
         if args.x is None or args.y is None:
             parser.error("trace requires --x and --y (or --count > 1)")
-        pairs = [(args.x, args.y)]
+        _refuse(args, parser, "trace --x/--y", ("seed",))
+    _defaults(args, seed=0, temp_k=300.0, cap_f=1e-15, vdd=1.0)
+    pairs = _operand_pairs(params, args.count, args.seed) if args.count > 1 else [(args.x, args.y)]
     if args.energy:  # refuse bad energy parameters before the run, with energy_report's texts
         energy.landauer_energy(0, args.temp_k)
         energy.esig_energy(args.cap_f, args.vdd)
@@ -374,8 +392,13 @@ def _read_traces(path: str) -> list[energy.PowerTrace]:
 def _cmd_dpa(args, parser) -> int:
     if not args.demo and not args.traces:
         parser.error("dpa requires --traces FILE or --demo")
-    if args.demo and args.count < 2:
+    if args.demo and args.count is not None and args.count < 2:
         parser.error(f"dpa --demo needs --count >= 2, got {args.count}")
+    if args.demo:
+        _refuse(args, parser, "dpa --demo", ("traces",))
+    else:
+        _refuse(args, parser, "dpa --traces", ("m", "count", "seed"))
+    _defaults(args, m=7, count=16, seed=0)
     selector = _parse_selector(args.select or "x:0")
     if args.demo:
         params = MontParams.for_modulus(args.m)
@@ -422,8 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="validate a netlist and round-trip it")
     p_verify.add_argument("path")
     p_verify.add_argument("--mode", choices=["auto", "exhaustive", "random"], default="auto")
-    p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--seed", type=int)
     add_format(p_verify)
     p_verify.set_defaults(parser=p_verify, func=_cmd_verify)
 
@@ -462,11 +485,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--m", type=_nonneg_int, required=True)
     p_tr.add_argument("--n", type=int)
     p_tr.add_argument("--count", type=int, default=1, help="random runs instead of --x/--y")
-    p_tr.add_argument("--seed", type=int, default=0)
+    p_tr.add_argument("--seed", type=int)
     p_tr.add_argument("--energy", action="store_true", help="include an energy report")
-    p_tr.add_argument("--temp-k", type=float, default=300.0)
-    p_tr.add_argument("--cap-f", type=float, default=1e-15)
-    p_tr.add_argument("--vdd", type=float, default=1.0)
+    p_tr.add_argument("--temp-k", type=float)
+    p_tr.add_argument("--cap-f", type=float)
+    p_tr.add_argument("--vdd", type=float)
     p_tr.add_argument("--format", choices=["json", "csv"], default="json")
     p_tr.add_argument("--out")
     p_tr.set_defaults(parser=p_tr, func=_cmd_trace)
@@ -475,9 +498,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dpa.add_argument("--traces", help="JSON file with [{samples, metadata}, ...]")
     p_dpa.add_argument("--select", help="selector FIELD[:BIT] on trace metadata")
     p_dpa.add_argument("--demo", action="store_true", help="generate traces internally")
-    p_dpa.add_argument("--m", type=_nonneg_int, default=7)
-    p_dpa.add_argument("--count", type=int, default=16)
-    p_dpa.add_argument("--seed", type=int, default=0)
+    p_dpa.add_argument("--m", type=_nonneg_int)
+    p_dpa.add_argument("--count", type=int)
+    p_dpa.add_argument("--seed", type=int)
     add_format(p_dpa)
     p_dpa.set_defaults(parser=p_dpa, func=_cmd_dpa)
 

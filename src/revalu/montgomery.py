@@ -45,7 +45,7 @@ from .arith import _bus, _copy, _full_adder, build_cpa
 from .bits import _BIT_VALUES, _require_int, from_bits, to_bits  # noqa: F401
 from .gates import TOFFOLI
 from .netlist import CostReport, GateInstance, Netlist, _require_bits
-from .sequential import _ALL, _MASTERS, _SLAVES, ClockedCircuit, Register, ShiftRegister
+from .sequential import Register, ShiftRegister, _load, _pulse
 
 
 class InvariantError(RuntimeError):
@@ -161,21 +161,10 @@ def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
     s = c = 0
     cycles = []
     for i, xi in enumerate(format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]):
-        if xi:  # majority(s, c, y) = (s & c) | ((s ^ c) & y)
-            t = s ^ c
-            s1 = t ^ y
-            c1 = ((s & c) | (t & y)) << 1
-        else:
-            s1 = s ^ c
-            c1 = (s & c) << 1
-        t = s1 ^ c1
+        s1, c1 = _csa(s, c, y if xi else 0)
+        c1 <<= 1
         s0 = s1 & 1
-        if s0:
-            s2 = t ^ m
-            c = (s1 & c1) | (t & m)
-        else:
-            s2 = t
-            c = s1 & c1
+        s2, c = _csa(s1, c1, m if s0 else 0)
         if s2 & 1:
             raise InvariantError("parity set before halving; halving would be inexact")
         s = s2 >> 1
@@ -184,6 +173,12 @@ def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
         cycles.append(CycleRecord(i, xi, s0, s1 + c1, s2 + (c << 1), s, c))
     p = s + c
     return MontTrace(params, x, y, tuple(cycles), p - m if p >= m else p)
+
+
+def _csa(a: int, b: int, c: int) -> tuple[int, int]:
+    """One word-level carry-save addition: a + b + c == sum + 2 * carry."""
+    t = a ^ b
+    return t ^ c, (a & b) | (t & c)
 
 
 def to_mont(x: int, params: MontParams) -> int:
@@ -336,15 +331,21 @@ class MontRun(NamedTuple):
         return {"x": self.x, "y": self.y, "m": self.modulus, "n": self.n}
 
 
-#: The datapath's clocked parts, in snapshot bit order.
-_CLOCKED_PARTS = ("s_shift", "c_shift", "s_reg", "c_reg", "x_shift", "y_reg", "m_reg")
+#: The datapath's clocked parts, in snapshot bit order: name, kind and
+#: the `MontParams` field that gives the width.
+_CLOCKED_PARTS = (
+    ("s_shift", ShiftRegister, "register_width"), ("c_shift", ShiftRegister, "register_width"),
+    ("s_reg", Register, "register_width"), ("c_reg", Register, "register_width"),
+    ("x_shift", ShiftRegister, "n"), ("y_reg", Register, "n"), ("m_reg", Register, "n"),
+)
 
 
 class MontDatapath:
     """Bit-serial Montgomery multiplier assembled from reversible parts.
 
-    Single-stepper: one run at a time per instance. The most recent run
-    record is kept on `last_run`.
+    The clocked parts, `s_shift` to `m_reg`, are attributes built from
+    `_CLOCKED_PARTS`. Single-stepper: one run at a time per instance.
+    The most recent run record is kept on `last_run`.
     """
 
     def __init__(self, params: MontParams):
@@ -357,23 +358,15 @@ class MontDatapath:
             _runner(stage, stage.primary_outputs[:w], stage.primary_outputs[w:])
             for stage in (self.stage1, self.stage2)
         )
-        self.s_reg = Register(w)
-        self.c_reg = Register(w)
-        self.s_shift = ShiftRegister(w)
-        self.c_shift = ShiftRegister(w)
-        self.x_shift = ShiftRegister(n)
-        self.y_reg = Register(n)
-        self.m_reg = Register(n)
+        self._parts = tuple(kind(getattr(params, width)) for _, kind, width in _CLOCKED_PARTS)
+        for (name, _, _), part in zip(_CLOCKED_PARTS, self._parts):
+            setattr(self, name, part)
         self.final_adder = build_cpa(w)
         self._add = _runner(self.final_adder, self.final_adder.primary_outputs)  # s0.., cout
         self.m_reg.load_value(params.modulus)
         self.last_run: MontRun | None = None
 
     # -- accounting ---------------------------------------------------
-
-    @property
-    def _parts(self) -> tuple[ClockedCircuit, ...]:
-        return tuple(getattr(self, name) for name in _CLOCKED_PARTS)
 
     @property
     def cores(self) -> tuple[Netlist, ...]:
@@ -385,7 +378,7 @@ class MontDatapath:
         return {
             "csa_stage1": self.stage1.cost_report(),
             "csa_stage2": self.stage2.cost_report(),
-            **{name: getattr(self, name).cost_report() for name in _CLOCKED_PARTS},
+            **{name: getattr(self, name).cost_report() for name, _, _ in _CLOCKED_PARTS},
             "final_adder": self.final_adder.cost_report(),
         }
 
@@ -398,9 +391,10 @@ class MontDatapath:
         return sum(p.garbage_bits_emitted for p in self._parts)
 
     def _snapshot(self) -> tuple[int, ...]:
-        s_shift, c_shift, s_reg, c_reg, x_shift, y_reg, m_reg = self._parts
-        return (*s_shift._q, *c_shift._q, *s_reg._q, *c_reg._q, *x_shift._q, *y_reg._q,
-                *m_reg._q)
+        bits: list[int] = []
+        for part in self._parts:
+            bits += part.state
+        return tuple(bits)
 
     # -- execution ----------------------------------------------------
 
@@ -409,9 +403,9 @@ class MontDatapath:
 
         Register contents stay bit lists from cycle to cycle; they
         become ints only for the cycle records and the invariants.
-        Parts that clock together share one latch-core call, five per
-        cycle: the S and C loads, then per clock phase the three shift
-        registers' masters and their slaves (at cp=1 with the Y and M holds).
+        Each cycle loads S and C together, then pulses the three shift
+        registers together, the Y and M registers holding beside them:
+        five latch-core calls in all.
         """
         params = self.params
         _check_operand("x", x, params)
@@ -420,12 +414,6 @@ class MontDatapath:
         s_shift, c_shift, s_reg, c_reg, x_shift, y_reg, m_reg = parts
         for part, value in zip(parts, (0, 0, 0, 0, x, y, params.modulus)):
             part.load_value(value)
-        clock = ClockedCircuit._clock
-        loads = ((s_reg, _ALL), (c_reg, _ALL))
-        masters = [(shift, _MASTERS) for shift in (s_shift, c_shift, x_shift)]
-        slaves = [(shift, _SLAVES) for shift in (s_shift, c_shift, x_shift)]
-        slaves_and_holds = slaves + [(y_reg, _ALL), (m_reg, _ALL)]
-        hold_data = [0] * (2 * params.n)
 
         snapshots = [self._snapshot()]
         cycles = []
@@ -435,7 +423,7 @@ class MontDatapath:
             sum1, car1 = self._run1(s_shift.bits + c_shift.bits + y_reg.bits + [xi])
             _invariant(car1[-1] == 0, "stage 1 carry spills past the register")
             # S and C load together; the carry word moves up one place.
-            clock(loads, 1, (*sum1, 0, *car1[:-1]))
+            _load((s_reg, c_reg), (*sum1, 0, *car1[:-1]))
             s_bits, c_bits = s_reg.bits, c_reg.bits
             total_after_multiplicand = from_bits(s_bits) + from_bits(c_bits)
 
@@ -446,12 +434,7 @@ class MontDatapath:
 
             s_shift._force_bits(sum2)
             c_shift._force_bits((0, *car2[:-1]))
-            # One pulse of the three shift registers. The holding
-            # registers see the clock too, with their enable low.
-            feed = s_shift._feed(0) + c_shift._feed(0) + x_shift._feed(0)
-            clock(slaves_and_holds, 0, [*clock(masters, 1, feed), *hold_data])
-            feed = s_shift._feed(0) + c_shift._feed(0) + x_shift._feed(0)
-            clock(slaves, 1, clock(masters, 0, feed))
+            _pulse((s_shift, c_shift, x_shift), 0, holds=(y_reg, m_reg))
 
             cycles.append(CycleRecord(i, xi, s_bits[0], total_after_multiplicand,
                                       total_after_parity_clear, s_shift.value, c_shift.value))

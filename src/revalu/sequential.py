@@ -11,13 +11,15 @@ netlist.
 Every element is a bank of such latches over one state list, and all
 latches share one validated core. Clock and enable rails may drive any
 number of latches; only data wires are subject to the single-sink
-rule. The unit of work is a rank: latches of one element that share
-one enable. A register is one rank; a master-slave chain is two, the
-masters and then the slaves. One call of `ClockedCircuit._clock` steps
-any number of ranks that clock together, of one element or of several,
+rule. A register is one rank of latches that share an enable; a
+master-slave chain (a DFF is the one-flop case) is two, the masters at
+even latches and the slaves at odd ones. Only this module knows that
+layout. `_load` steps registers, and `_edge` and `_pulse` clock chains,
+any number of elements at once: one core call per rank and clock phase,
 evaluating the core once per latch, so no single netlist contains
-fan-out; the Montgomery datapath clocks its seven parts in five such
-calls per cycle. The element classes differ only in wiring.
+fan-out. The elements' own methods and the Montgomery datapath both
+clock through these helpers; the datapath's cycle is one `_load` and
+one `_pulse`, five core calls. The element classes differ only in wiring.
 
 Each latch discards two bits per step (the enable pass-through and the
 Fredkin swap residue); the running total is tracked per element because
@@ -55,8 +57,7 @@ _QS, _QO = _LATCH.slot["qs"], _LATCH.slot["qo"]
 _READ = (_QS, _QO)  # the core's columns a step reads; its garbage is never transposed
 _LATCH_COST = LATCH_CORE.cost_report()
 
-# Ranks of the state list: every latch, or the masters or slaves of
-# master-slave pairs.
+# Ranks of the state list: every latch, the masters, the slaves.
 _ALL = slice(None)
 _MASTERS = slice(0, None, 2)
 _SLAVES = slice(1, None, 2)
@@ -80,11 +81,9 @@ class ClockedCircuit:
     Holds the latched bits in one state list and counts latch steps;
     subclasses supply the wiring: how many latches, which of them are
     observable, and which ranks `step` clocks with what data.
-    Master-slave pair k uses latches 2k (master) and 2k+1 (slave), so
-    the masters form one rank and the slaves another. Instances carry
-    mutable state; drive each instance from a single stepper. `step`
-    consumes one input map and returns the observable outputs for that
-    time step.
+    Instances carry mutable state; drive each instance from a single
+    stepper. `step` consumes one input map and returns the observable
+    outputs for that time step.
     """
 
     name = ""
@@ -96,38 +95,6 @@ class ClockedCircuit:
     def __init__(self, latches: int):
         self._q = [0] * latches
         self._latch_steps = 0
-
-    @staticmethod
-    def _clock(
-        ranks: Sequence[tuple[ClockedCircuit, slice]], e: int, data: Sequence[int]
-    ) -> Sequence[int]:
-        """Step ranks of latches that share enable `e`, one data bit per latch.
-
-        A rank is an element and a slice of its latches. One core call
-        runs every rank, in order; each element takes its new states and
-        its rank's length in latch steps. Returns the observable outputs,
-        concatenated. The enable and constant rails span the merged rank,
-        as the batch is only as long as its shortest column.
-        """
-        held: list[int] = []
-        ends: list[int] = []
-        for circuit, latches in ranks:
-            held += circuit._q[latches]
-            ends.append(len(held))
-        rows = len(held)
-        slots = _LATCH.forward_rows(((e,) * rows, data, held, (0,) * rows), _READ)  # e, d, q, z
-        new = slots[_QS]
-        start = 0
-        for (circuit, latches), end in zip(ranks, ends):
-            circuit._q[latches] = new[start:end]
-            circuit._latch_steps += end - start
-            start = end
-        return slots[_QO]
-
-    def _edge(self, cp: int, feed: Sequence[int]) -> Sequence[int]:
-        """Clock the masters on `feed` at cp, then the slaves on the masters at not-cp."""
-        masters = self._clock(((self, _MASTERS),), cp, feed)
-        return self._clock(((self, _SLAVES),), 1 - cp, masters)
 
     @property
     def cores(self) -> tuple[Netlist, ...]:
@@ -185,6 +152,62 @@ class ClockedCircuit:
         return CostReport(*(field * n for field in _LATCH_COST))
 
 
+def _clock(ranks, e: int, data: Sequence[int]) -> Sequence[int]:
+    """Step ranks of latches that share enable `e`, one data bit per latch.
+
+    A rank is some elements and the slice of latches that steps in each.
+    One core call runs the ranks in order and returns their observable
+    outputs, concatenated. The rails span the merged rank, as a batch is
+    only as long as its shortest column.
+    """
+    held: list[int] = []
+    ends = []
+    for circuits, latches in ranks:
+        for circuit in circuits:
+            held += circuit._q[latches]
+            ends.append((circuit, latches, len(held)))
+    rows = len(held)
+    slots = _LATCH.forward_rows(((e,) * rows, data, held, (0,) * rows), _READ)  # e, d, q, z
+    new = slots[_QS]
+    start = 0
+    for circuit, latches, end in ends:
+        circuit._q[latches] = new[start:end]
+        circuit._latch_steps += end - start
+        start = end
+    return slots[_QO]
+
+
+def _feed(chains: Sequence[ClockedCircuit], sin: int) -> list[int]:
+    """Each master's data, read before any flop moves: the slave above it, or `sin`."""
+    feed: list[int] = []
+    for chain in chains:
+        feed += chain._q[3::2]
+        feed.append(sin)
+    return feed
+
+
+def _load(registers: Sequence[ClockedCircuit], data: Sequence[int]) -> None:
+    """Step every latch of `registers` with enable 1 on `data`."""
+    _clock(((registers, _ALL),), 1, data)
+
+
+def _edge(chains, cp: int, sin: int, holds=()) -> Sequence[int]:
+    """Clock the chains' masters on their feeds at cp, then their slaves at not-cp.
+
+    Holding registers step beside the slaves on data 0, which holds only
+    at cp=1, where that enable is low. Returns the slaves' outputs, then any holds'.
+    """
+    masters = _clock(((chains, _MASTERS),), cp, _feed(chains, sin))
+    zeros = (0,) * sum(len(register._q) for register in holds)
+    return _clock(((chains, _SLAVES), (holds, _ALL)), 1 - cp, [*masters, *zeros])
+
+
+def _pulse(chains, sin: int, holds=()) -> Sequence[int]:
+    """One clock pulse: an edge at cp=1 with the holds, then one at cp=0."""
+    _edge(chains, 1, sin, holds)
+    return _edge(chains, 0, sin)
+
+
 class DLatch(ClockedCircuit):
     """Level-sensitive D latch: q' = e*d + e'*q. Transparent while e=1."""
 
@@ -196,7 +219,7 @@ class DLatch(ClockedCircuit):
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         e, d = self._read(inputs)
-        return {"q": self._clock(((self, _ALL),), e, (d,))[0]}
+        return {"q": _clock((((self,), _ALL),), e, (d,))[0]}
 
     def load_value(self, value: int) -> None:
         self._q[0] = _one_bit(value)
@@ -218,11 +241,11 @@ class Register(ClockedCircuit):
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         e, *data = self._read(inputs)
-        return {f"q{i}": q for i, q in enumerate(self._clock(((self, _ALL),), e, data))}
+        return {f"q{i}": q for i, q in enumerate(_clock((((self,), _ALL),), e, data))}
 
     def load(self, value: int) -> None:
         """Clock the value in through the latches (one step with e=1)."""
-        self._clock(((self, _ALL),), 1, to_bits(_require_int("value", value), self.width))
+        _load((self,), to_bits(_require_int("value", value), self.width))
 
     def load_value(self, value: int) -> None:
         self._q[:] = to_bits(_require_int("value", value), self.width)
@@ -246,13 +269,11 @@ class MasterSlaveDFF(ClockedCircuit):
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         cp, d = self._read(inputs)
-        return {"q": self._edge(cp, (d,))[0]}
+        return {"q": _edge((self,), cp, d)[0]}
 
     def pulse(self, d: int) -> dict[str, int]:
         """One full clock pulse: evaluate at cp=1, then at cp=0."""
-        d = _input_bit("d", d)
-        self._edge(1, (d,))
-        return {"q": self._edge(0, (d,))[0]}
+        return {"q": _pulse((self,), _input_bit("d", d))[0]}
 
     def load_value(self, value: int) -> None:
         self._q[:] = (_one_bit(value),) * 2
@@ -277,17 +298,10 @@ class ShiftRegister(ClockedCircuit):
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
         cp, sin = self._read(inputs)
-        return _shift_outputs(self._edge(cp, self._feed(sin)))
-
-    def _feed(self, sin: int) -> list[int]:
-        # Each master's data: its upper neighbour's slave output, read
-        # before any flop moves; `sin` for the MSB.
-        return self._q[3::2] + [sin]
+        return _shift_outputs(_edge((self,), cp, sin))
 
     def pulse(self, sin: int = 0) -> dict[str, int]:
-        sin = _input_bit("sin", sin)
-        self._edge(1, self._feed(sin))
-        return _shift_outputs(self._edge(0, self._feed(sin)))
+        return _shift_outputs(_pulse((self,), _input_bit("sin", sin)))
 
     def load_value(self, value: int) -> None:
         self._force_bits(to_bits(_require_int("value", value), self.width))

@@ -110,6 +110,65 @@ class TestOptionsEachKindTakes:
         assert err == "error: stimulus must hold at least one step\n"
 
 
+class TestOptionsEachModeTakes:
+    """An option the chosen mode would ignore is a usage error; no file is read."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dpa", "--demo", "--traces", "t.json"], "dpa --demo takes no --traces"),
+            (["dpa", "--traces", "t.json", "--m", "7"], "dpa --traces takes no --m"),
+            (["dpa", "--traces", "t.json", "--count", "4"], "dpa --traces takes no --count"),
+            (["dpa", "--traces", "t.json", "--seed", "1"], "dpa --traces takes no --seed"),
+            (["sim", "n.rnl", "--inputs", "{}", "--width", "3"], "sim PATH takes no --width"),
+            (["trace", "--m", "7", "--x", "3", "--y", "5", "--temp-k", "-4"],
+             "trace without --energy takes no --temp-k"),
+            (["trace", "--m", "7", "--x", "3", "--y", "5", "--cap-f", "1e-12"],
+             "trace without --energy takes no --cap-f"),
+            (["trace", "--m", "7", "--x", "3", "--y", "5", "--vdd", "0.5"],
+             "trace without --energy takes no --vdd"),
+            (["trace", "--m", "7", "--x", "3", "--y", "5", "--seed", "2"],
+             "trace --x/--y takes no --seed"),
+            (["verify", "n.rnl", "--mode", "exhaustive", "--samples", "10"],
+             "verify --mode exhaustive takes no --samples"),
+            (["verify", "n.rnl", "--mode", "exhaustive", "--seed", "1"],
+             "verify --mode exhaustive takes no --seed"),
+            # Refusals that came first before still come first.
+            (["dpa", "--demo", "--traces", "t.json", "--count", "1"],
+             "dpa --demo needs --count >= 2, got 1"),
+            (["trace", "--m", "7", "--x", "3", "--seed", "2"],
+             "trace requires --x and --y (or --count > 1)"),
+            (["sim", "--width", "3"], "sim requires a netlist path and --inputs (or --clocked)"),
+        ],
+    )
+    def test_ignored_option_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # the named files do not exist
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, defaults",
+        [
+            (["dpa", "--demo"], ["--m", "7", "--count", "16", "--seed", "0"]),
+            (["trace", "--m", "7", "--x", "3", "--y", "5", "--energy"],
+             ["--temp-k", "300", "--cap-f", "1e-15", "--vdd", "1"]),
+            (["trace", "--m", "7", "--count", "3"], ["--seed", "0"]),
+        ],
+    )
+    def test_omitted_option_takes_its_default(self, capsys, argv, defaults):
+        assert run(capsys, *argv) == run(capsys, *argv, *defaults)
+
+    def test_verify_random_defaults(self, capsys, tmp_path):
+        path = str(tmp_path / "cpa3.rnl")
+        run(capsys, "build", "cpa", "--width", "3", "--out", path)
+        argv = ["verify", path, "--mode", "random"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--samples", "1000", "--seed", "0")
+
+
 class TestUsageErrorsNamed:
     """Each usage error exits 2 with its own message and prints nothing."""
 

@@ -138,6 +138,18 @@ class TestFullAdder:
     def test_zero_case(self):
         assert tsg_as_full_adder(0, 0, 0) == (0, 0)
 
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            ((True, 1.0, 0), "a must be 0 or 1, got True"),
+            ((1, 1.0, 0), "b must be 0 or 1, got 1.0"),
+            ((0, 0, 2), "cin must be 0 or 1, got 2"),
+        ],
+    )
+    def test_refuses_non_bits(self, bits, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tsg_as_full_adder(*bits)
+
 
 class TestVerify:
     def test_fredkin_is_conservative_bijection(self):

@@ -1,5 +1,6 @@
 """Montgomery multiplication against modular-arithmetic oracles."""
 
+import ast
 import dataclasses
 import os
 import random
@@ -393,6 +394,21 @@ class TestDatapathWork:
         datapath = MontDatapath(params)
         assert datapath.run(0x1234, 0xABCD) == mont_mult_word(0x1234, 0xABCD, params)
         assert len(calls) == 5 * params.n
+
+    def test_datapath_uses_no_latch_layout_name(self):
+        # Only revalu.sequential knows how latches are laid out and stepped.
+        layout = {"_q", "_clock", "_feed", "_ALL", "_MASTERS", "_SLAVES"}
+        with open(mg.__file__) as handle:
+            tree = ast.parse(handle.read())
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update((node.name, node.asname))
+        assert not used & layout
 
     @staticmethod
     def _reference_run(datapath, x, y):

@@ -427,3 +427,21 @@ def test_clocked_elements_match_behavioural_model(kind, data):
         assert element.state == model.state
         assert element.garbage_bits_emitted == model.garbage
     assert len(element.state) == len(element.cores)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_dff_is_the_one_flop_shift_register(data):
+    """A DFF and a ShiftRegister(1) are the same chain under any step/pulse sequence."""
+    dff, sr = MasterSlaveDFF(), ShiftRegister(1)
+    bit = st.integers(0, 1)
+    for action in data.draw(st.lists(st.sampled_from(["step", "pulse"]), max_size=30)):
+        d = data.draw(bit, label="d")
+        if action == "step":
+            cp = data.draw(bit, label="cp")
+            out, shifted = dff.step({"cp": cp, "d": d}), sr.step({"cp": cp, "sin": d})
+        else:
+            out, shifted = dff.pulse(d), sr.pulse(d)
+        assert shifted == {"q0": out["q"], "sout": out["q"]}
+        assert dff.state == sr.state
+        assert dff.garbage_bits_emitted == sr.garbage_bits_emitted
