@@ -23,14 +23,9 @@ forwards only.
 
 from __future__ import annotations
 
+from .bits import _check_width
 from .gates import AND, FEYNMAN, OR, TSG, XOR
 from .netlist import GateInstance, Netlist
-
-
-def _check_width(width: int) -> int:
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    return width
 
 
 def _bus(name: str, width: int) -> list[str]:

@@ -26,6 +26,13 @@ def _require_int(name: str, value: int) -> int:
     return value
 
 
+def _check_width(width: int) -> int:
+    """The width, if it is an int of at least 1."""
+    if _require_int("width", width) < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
+    return width
+
+
 def to_bits(value: int, width: int) -> tuple[int, ...]:
     """Expand a non-negative integer into `width` bits, LSB first."""
     if value < 0:

@@ -3,7 +3,9 @@
 Subcommands: build, verify, sim, cost, montmul, montexp, trace, dpa.
 JSON output is the machine interface (stable key order); text output
 renders the same values. Exit codes: 0 success, 1 domain error, 2
-usage error.
+usage error. A command makes every usage check before it reads a file
+or builds a circuit; only `verify`'s auto mode refuses `--samples` and
+`--seed` after its check, once that check has chosen exhaustive mode.
 """
 
 from __future__ import annotations
@@ -116,66 +118,49 @@ def _sizing(args, parser, what: str, builder=None) -> tuple:
     return (args.width,)
 
 
-def _write_manifest(path: str, manifest: dict) -> None:
+def _write(path: str, text: str) -> None:
     with open(path, "w") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(text)
+
+
+def _manifest(kind: str, circuit, report) -> str:
+    """`build --out` JSON of a sequential kind or montgomery: kind, cost, cores, own fields."""
+    if kind in _SEQUENTIAL:
+        cores = circuit.cores
+        fields = {"width": getattr(circuit, "width", 1), "state_bits": len(circuit.state)}
+    else:
+        params = circuit.params
+        cores = circuit.cores[:3]  # the two CSA stages and the final adder, not the latch cores
+        fields = {
+            "modulus": params.modulus,
+            "n": params.n,
+            "register_width": params.register_width,
+            "components": {name: rep.as_dict() for name, rep in circuit.component_costs().items()},
+        }
+    manifest = {"kind": kind, "cost": report.as_dict(),
+                "cores": [serialize_rnl(core) for core in cores], **fields}
+    return json.dumps(manifest, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_build(args, parser) -> int:
     kind = args.kind
-    sizing = _sizing(args, parser, f"build {kind}", {**_COMBINATIONAL, **_SEQUENTIAL}.get(kind))
-    if kind in _COMBINATIONAL:
-        netlist = _COMBINATIONAL[kind](*sizing)
-        report = netlist.cost_report()
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(serialize_rnl(netlist))
-    elif kind in _SEQUENTIAL:
-        circuit = _SEQUENTIAL[kind](*sizing)
-        report = circuit.cost_report()
-        if args.out:
-            manifest = {
-                "kind": kind,
-                "width": getattr(circuit, "width", 1),
-                "state_bits": len(circuit.state),
-                "cost": report.as_dict(),
-                "cores": [serialize_rnl(core) for core in circuit.cores],
-            }
-            _write_manifest(args.out, manifest)
-    elif kind == "montgomery":
-        if args.m is None:
-            parser.error("build montgomery requires --m (odd modulus)")
-        params = MontParams.for_modulus(args.m, args.n)
-        datapath = MontDatapath(params)
-        report = datapath.cost_report()
-        if args.out:
-            manifest = {
-                "kind": "montgomery",
-                "modulus": params.modulus,
-                "n": params.n,
-                "register_width": params.register_width,
-                "cost": report.as_dict(),
-                "components": {
-                    name: rep.as_dict()
-                    for name, rep in datapath.component_costs().items()
-                },
-                "cores": [
-                    serialize_rnl(datapath.stage1),
-                    serialize_rnl(datapath.stage2),
-                    serialize_rnl(datapath.final_adder),
-                ],
-            }
-            _write_manifest(args.out, manifest)
-    else:  # pragma: no cover - argparse choices guard this
-        parser.error(f"unknown kind {kind!r}")
+    builder = {**_COMBINATIONAL, **_SEQUENTIAL}.get(kind)  # None: montgomery
+    sizing = _sizing(args, parser, f"build {kind}", builder)
+    if builder is None and args.m is None:
+        parser.error("build montgomery requires --m (odd modulus)")
+    circuit = builder(*sizing) if builder else MontDatapath(MontParams.for_modulus(args.m, args.n))
+    report = circuit.cost_report()
+    if args.out:
+        _write(args.out, serialize_rnl(circuit) if kind in _COMBINATIONAL
+               else _manifest(kind, circuit, report))
     _emit(report.as_dict(), args.format)
     return 0
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.mode == "exhaustive":
-        _refuse(args, parser, "verify --mode exhaustive", ("samples", "seed"))
+    given = [name for name in ("samples", "seed") if getattr(args, name) is not None]
+    if args.mode == "exhaustive" and given:
+        parser.error(f"verify --mode exhaustive takes no --{given[0]}")
     _defaults(args, samples=1000, seed=0)
     netlist = _read_netlist(args.path)
     validation = netlist.validate()
@@ -185,6 +170,10 @@ def _cmd_verify(args, parser) -> int:
         reversibility = check_reversibility(
             netlist, samples=args.samples, seed=args.seed, mode=args.mode
         )
+        if args.mode == "auto" and reversibility.mode == "exhaustive" and given:
+            bits = len(netlist.primary_inputs) + len(netlist.constants)
+            parser.error(f"verify --mode auto takes no --{given[0]}: {args.path} has {bits} "
+                         "source bits, so it is checked exhaustively")
         result["reversibility"] = reversibility.as_dict()
         ok = reversibility.ok
     _emit(result, args.format)
@@ -295,12 +284,12 @@ def _cmd_trace(args, parser) -> int:
         parser.error("--count > 1 draws random operands; drop --x/--y")
     if not args.energy:
         _refuse(args, parser, "trace without --energy", ("temp-k", "cap-f", "vdd"))
-    params = MontParams.for_modulus(args.m, args.n)
     if args.count == 1:
         if args.x is None or args.y is None:
             parser.error("trace requires --x and --y (or --count > 1)")
         _refuse(args, parser, "trace --x/--y", ("seed",))
     _defaults(args, seed=0, temp_k=300.0, cap_f=1e-15, vdd=1.0)
+    params = MontParams.for_modulus(args.m, args.n)
     pairs = _operand_pairs(params, args.count, args.seed) if args.count > 1 else [(args.x, args.y)]
     if args.energy:  # refuse bad energy parameters before the run, with energy_report's texts
         energy.landauer_energy(0, args.temp_k)
@@ -332,8 +321,7 @@ def _cmd_trace(args, parser) -> int:
             body = {"trace": body, "energy": report.as_dict()}
         text = json.dumps(body, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -426,92 +414,76 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["json", "text"], default="json")
+    def arg(*flags, **options):
+        return flags, options
 
-    p_build = sub.add_parser("build", help="generate a circuit and print its cost")
-    p_build.add_argument(
-        "kind",
-        choices=sorted(set(_COMBINATIONAL) | set(_SEQUENTIAL) | {"montgomery"}),
-    )
-    p_build.set_defaults(parser=p_build)
-    p_build.add_argument("--width", type=int)
-    p_build.add_argument("--m", type=_nonneg_int, help="modulus (montgomery)")
-    p_build.add_argument("--n", type=int, help="scan length (montgomery)")
-    p_build.add_argument("--out", help="write .rnl or manifest JSON here")
-    add_format(p_build)
-    p_build.set_defaults(func=_cmd_build)
+    def command(name, func, summary, *arguments, formats=("json", "text")):
+        """Subcommand `name` run by `func`: its arguments, then --format if it has `formats`."""
+        p = sub.add_parser(name, help=summary)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p_verify = sub.add_parser("verify", help="validate a netlist and round-trip it")
-    p_verify.add_argument("path")
-    p_verify.add_argument("--mode", choices=["auto", "exhaustive", "random"], default="auto")
-    p_verify.add_argument("--samples", type=int)
-    p_verify.add_argument("--seed", type=int)
-    add_format(p_verify)
-    p_verify.set_defaults(parser=p_verify, func=_cmd_verify)
-
-    p_cost = sub.add_parser("cost", help="print a netlist's cost report")
-    p_cost.add_argument("path")
-    add_format(p_cost)
-    p_cost.set_defaults(parser=p_cost, func=_cmd_cost)
-
-    p_sim = sub.add_parser("sim", help="simulate a netlist or a clocked element")
-    p_sim.add_argument("path", nargs="?")
-    p_sim.add_argument("--inputs", help="JSON map of input wire to bit, or @file")
-    p_sim.add_argument("--clocked", choices=sorted(_SEQUENTIAL))
-    p_sim.add_argument("--width", type=int)
-    p_sim.add_argument("--stimulus", help="JSON array of per-step input maps, or @file")
-    add_format(p_sim)
-    p_sim.set_defaults(parser=p_sim, func=_cmd_sim)
-
-    p_mm = sub.add_parser("montmul", help="Montgomery product x*y*2^-n mod m")
-    p_mm.add_argument("--x", type=_nonneg_int, required=True)
-    p_mm.add_argument("--y", type=_nonneg_int, required=True)
-    p_mm.add_argument("--m", type=_nonneg_int, required=True)
-    p_mm.add_argument("--n", type=int)
-    p_mm.add_argument("--gate-level", action="store_true")
-    p_mm.add_argument("--trace", action="store_true", help="also print per-cycle JSON")
-    p_mm.set_defaults(parser=p_mm, func=_cmd_montmul)
-
-    p_me = sub.add_parser("montexp", help="modular exponentiation a^b mod m")
-    p_me.add_argument("--a", type=_nonneg_int, required=True)
-    p_me.add_argument("--b", type=_nonneg_int, required=True)
-    p_me.add_argument("--mod", type=_nonneg_int, required=True)
-    p_me.set_defaults(parser=p_me, func=_cmd_montexp)
-
-    p_tr = sub.add_parser("trace", help="switching-activity trace of a multiplier run")
-    p_tr.add_argument("--x", type=_nonneg_int)
-    p_tr.add_argument("--y", type=_nonneg_int)
-    p_tr.add_argument("--m", type=_nonneg_int, required=True)
-    p_tr.add_argument("--n", type=int)
-    p_tr.add_argument("--count", type=int, default=1, help="random runs instead of --x/--y")
-    p_tr.add_argument("--seed", type=int)
-    p_tr.add_argument("--energy", action="store_true", help="include an energy report")
-    p_tr.add_argument("--temp-k", type=float)
-    p_tr.add_argument("--cap-f", type=float)
-    p_tr.add_argument("--vdd", type=float)
-    p_tr.add_argument("--format", choices=["json", "csv"], default="json")
-    p_tr.add_argument("--out")
-    p_tr.set_defaults(parser=p_tr, func=_cmd_trace)
-
-    p_dpa = sub.add_parser("dpa", help="difference-of-means over power traces")
-    p_dpa.add_argument("--traces", help="JSON file with [{samples, metadata}, ...]")
-    p_dpa.add_argument("--select", help="selector FIELD[:BIT] on trace metadata")
-    p_dpa.add_argument("--demo", action="store_true", help="generate traces internally")
-    p_dpa.add_argument("--m", type=_nonneg_int)
-    p_dpa.add_argument("--count", type=int)
-    p_dpa.add_argument("--seed", type=int)
-    add_format(p_dpa)
-    p_dpa.set_defaults(parser=p_dpa, func=_cmd_dpa)
-
+    command("build", _cmd_build, "generate a circuit and print its cost",
+            arg("kind", choices=sorted(set(_COMBINATIONAL) | set(_SEQUENTIAL) | {"montgomery"})),
+            arg("--width", type=int),
+            arg("--m", type=_nonneg_int, help="modulus (montgomery)"),
+            arg("--n", type=int, help="scan length (montgomery)"),
+            arg("--out", help="write .rnl or manifest JSON here"))
+    command("verify", _cmd_verify, "validate a netlist and round-trip it",
+            arg("path"),
+            arg("--mode", choices=["auto", "exhaustive", "random"], default="auto"),
+            arg("--samples", type=int),
+            arg("--seed", type=int))
+    command("cost", _cmd_cost, "print a netlist's cost report", arg("path"))
+    command("sim", _cmd_sim, "simulate a netlist or a clocked element",
+            arg("path", nargs="?"),
+            arg("--inputs", help="JSON map of input wire to bit, or @file"),
+            arg("--clocked", choices=sorted(_SEQUENTIAL)),
+            arg("--width", type=int),
+            arg("--stimulus", help="JSON array of per-step input maps, or @file"))
+    command("montmul", _cmd_montmul, "Montgomery product x*y*2^-n mod m",
+            arg("--x", type=_nonneg_int, required=True),
+            arg("--y", type=_nonneg_int, required=True),
+            arg("--m", type=_nonneg_int, required=True),
+            arg("--n", type=int),
+            arg("--gate-level", action="store_true"),
+            arg("--trace", action="store_true", help="also print per-cycle JSON"),
+            formats=())
+    command("montexp", _cmd_montexp, "modular exponentiation a^b mod m",
+            arg("--a", type=_nonneg_int, required=True),
+            arg("--b", type=_nonneg_int, required=True),
+            arg("--mod", type=_nonneg_int, required=True),
+            formats=())
+    command("trace", _cmd_trace, "switching-activity trace of a multiplier run",
+            arg("--x", type=_nonneg_int),
+            arg("--y", type=_nonneg_int),
+            arg("--m", type=_nonneg_int, required=True),
+            arg("--n", type=int),
+            arg("--count", type=int, default=1, help="random runs instead of --x/--y"),
+            arg("--seed", type=int),
+            arg("--energy", action="store_true", help="include an energy report"),
+            arg("--temp-k", type=float),
+            arg("--cap-f", type=float),
+            arg("--vdd", type=float),
+            formats=("json", "csv")).add_argument("--out")  # after --format, as in its usage line
+    command("dpa", _cmd_dpa, "difference-of-means over power traces",
+            arg("--traces", help="JSON file with [{samples, metadata}, ...]"),
+            arg("--select", help="selector FIELD[:BIT] on trace metadata"),
+            arg("--demo", action="store_true", help="generate traces internally"),
+            arg("--m", type=_nonneg_int),
+            arg("--count", type=int),
+            arg("--seed", type=int))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, getattr(args, "parser", parser))
+        return args.func(args, args.parser)
     except (ValueError, OSError) as exc:  # NetlistError and RnlSyntaxError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -298,7 +298,7 @@ def _runner(netlist: Netlist, *words: Sequence[str]):
     order) once, then runs the netlist's plan on them with its constants
     appended, and picks each word's wires, LSB first, from the result.
     """
-    plan = netlist._plan()
+    plan = netlist._plan
     consts = list(netlist.constants.values())
     picks = [itemgetter(*map(plan.slot.__getitem__, word)) for word in words]
 

@@ -14,8 +14,9 @@ Validation is one pass over the gates: it collects every driver and
 sink, finds violations with counts and set operations, and names the
 drivers or sinks only of a wire that breaks a rule. The gate list is
 kept as the topological order when it already is one, as it is for
-every generated netlist; otherwise Kahn's algorithm orders it, or
-finds the cycle.
+every generated netlist; otherwise `graphlib` orders it, taking ready
+gates in index order, or finds the cycle. The order and the plan are
+cached properties of the netlist, each computed on first use.
 
 Evaluation runs a plan compiled once per validated netlist: every wire
 gets a slot in a flat list of bits, and each gate reads and writes
@@ -40,10 +41,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from itertools import chain, islice
 from operator import add, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .bits import _require_int
 from .gates import GateKind
 
 Bits = tuple[int, ...]
@@ -141,8 +144,6 @@ class Netlist:
             if type(value) is not int or value not in (0, 1):  # 1.0 and True are not bits
                 raise ValueError(f"constant {wire} must be 0 or 1, got {value!r}")
         self._validation: ValidationReport | None = None
-        self._topo: tuple[int, ...] | None = None
-        self._compiled: _Plan | None = None
 
     # -- structure ---------------------------------------------------
 
@@ -224,22 +225,21 @@ class Netlist:
                 for wire in (*self.primary_inputs, *self.constants)
                 if wire in unsunk and driver_count.get(wire, 1) == 1
             ]
-        if self._toposort() is None:
+        if self._toposort is None:
             violations.append(Violation("cycle", "gate dependencies contain a cycle"))
 
         self._validation = ValidationReport(tuple(violations))
         return self._validation
 
+    @cached_property
     def _toposort(self) -> tuple[int, ...] | None:
         """Topological order of gate indices, or None on a cycle.
 
         The list order, when it is already topological (as it is for
-        every generated netlist); otherwise Kahn's algorithm, taking
-        ready gates in index order. A gate depends on the first gate
-        that drives each of its inputs.
+        every generated netlist); otherwise `graphlib`'s, which takes
+        ready gates in index order because every gate is added first. A
+        gate depends on the first gate that drives each of its inputs.
         """
-        if self._topo is not None:
-            return self._topo
         gates = self.gates
         pending = {w for g in gates for w in g.outputs}  # not yet driven
         for g in gates:
@@ -247,28 +247,18 @@ class Netlist:
                 break
             pending.difference_update(g.outputs)
         else:
-            self._topo = tuple(range(len(gates)))
-            return self._topo
+            return tuple(range(len(gates)))
 
         producer: dict[str, int] = {}
         for i in reversed(range(len(gates))):  # the first driver wins
             producer.update(dict.fromkeys(gates[i].outputs, i))
-        deps = [{producer[w] for w in g.inputs if w in producer} for g in gates]
-        users: list[list[int]] = [[] for _ in gates]
-        for i, dep in enumerate(deps):
-            for j in dep:
-                users[j].append(i)
-        waiting = [len(dep) for dep in deps]
-        order = [i for i, n in enumerate(waiting) if not n]
-        for i in order:  # grows as gates become ready
-            for j in users[i]:
-                waiting[j] -= 1
-                if not waiting[j]:
-                    order.append(j)
-        if len(order) < len(gates):
+        sorter = TopologicalSorter(dict.fromkeys(range(len(gates)), ()))
+        for i, g in enumerate(gates):
+            sorter.add(i, *{producer[w] for w in g.inputs if w in producer})
+        try:
+            return tuple(sorter.static_order())
+        except CycleError:
             return None
-        self._topo = tuple(order)
-        return self._topo
 
     def _require_valid(self) -> None:
         report = self.validate()
@@ -279,15 +269,14 @@ class Netlist:
                 f"({len(report.violations)} violations): {summary}"
             )
 
+    @cached_property
     def _plan(self) -> "_Plan":
         """The evaluation plan, compiled on first use. Refuses invalid netlists."""
-        if self._compiled is None:
-            self._require_valid()
-            gates = [self.gates[i] for i in self._toposort()]
-            self._compiled = _Plan((*self.primary_inputs, *self.constants),
-                                   [(g.kind, g.inputs, g.outputs) for g in gates],
-                                   (*self.primary_outputs, *self.garbage_outputs))
-        return self._compiled
+        self._require_valid()
+        gates = [self.gates[i] for i in self._toposort]
+        return _Plan((*self.primary_inputs, *self.constants),
+                     [(g.kind, g.inputs, g.outputs) for g in gates],
+                     (*self.primary_outputs, *self.garbage_outputs))
 
     # -- simulation --------------------------------------------------
 
@@ -297,7 +286,7 @@ class Netlist:
         `inputs` must assign exactly the primary inputs; constants are
         taken from their declarations. Refuses invalid netlists.
         """
-        plan = self._plan()
+        plan = self._plan
         bits = _assigned(inputs, self.primary_inputs, "input", inputs.items())
         bits += self.constants.values()
         return dict(zip(plan.wires, plan.forward(bits)))
@@ -310,7 +299,7 @@ class Netlist:
         recovered values of all primary inputs and constant wires (the
         constants a forward run must have used).
         """
-        plan = self._plan()
+        plan = self._plan
         back = plan.backwards
         bits = back.forward(_assigned(outputs, plan.outputs, "output"))
         return dict(zip(plan.sources, map(bits.__getitem__, back.output_slots)))
@@ -329,9 +318,7 @@ class Netlist:
         self._require_valid()
         depth: dict[str, int] = {w: 0 for w in self.primary_inputs}
         depth.update({w: 0 for w in self.constants})
-        order = self._toposort()
-        assert order is not None
-        for idx in order:
+        for idx in self._toposort:
             g = self.gates[idx]
             d = 1 + max((depth[w] for w in g.inputs), default=0)
             for w in g.outputs:
@@ -570,14 +557,14 @@ def check_reversibility(
     exhaustive mode bounds the check's running time; its memory does not
     grow with the case count.
     """
-    plan = netlist._plan()
+    plan = netlist._plan
     n_bits = len(plan.sources)
     if mode not in ("auto", "exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     exhaustive = mode == "exhaustive" or (mode == "auto" and n_bits <= exhaustive_limit)
     if exhaustive and n_bits > 24:
         raise ValueError(f"{n_bits} source bits is too many for exhaustive checking")
-    if not exhaustive and samples < 1:
+    if not exhaustive and _require_int("samples", samples) < 1:
         raise ValueError(f"random mode needs samples >= 1, got {samples}")
     cases = 1 << n_bits if exhaustive else samples
     mode_name = "exhaustive" if exhaustive else "random"

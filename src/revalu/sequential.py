@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .arith import _check_width
-from .bits import _require_int, from_bits, to_bits
+from .bits import _check_width, _require_int, from_bits, to_bits
 from .gates import FEYNMAN, FREDKIN
 from .netlist import CostReport, GateInstance, Netlist
 
@@ -52,7 +51,7 @@ LATCH_CORE = Netlist(
     garbage_outputs=["et", "gs"],
     name="dlatch_core",
 )
-_LATCH = LATCH_CORE._plan()
+_LATCH = LATCH_CORE._plan
 _QS, _QO = _LATCH.slot["qs"], _LATCH.slot["qo"]
 _READ = (_QS, _QO)  # the core's columns a step reads; its garbage is never transposed
 _LATCH_COST = LATCH_CORE.cost_report()

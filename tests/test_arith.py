@@ -265,3 +265,13 @@ class TestWidthValidation:
     def test_zero_width_rejected(self, builder):
         with pytest.raises(ValueError, match="width"):
             builder(0)
+
+    @pytest.mark.parametrize("width", [True, 2.0])
+    @pytest.mark.parametrize(
+        "builder",
+        [build_cpa, build_csa42, build_csa52, build_irreversible_cpa],
+    )
+    def test_non_int_width_rejected(self, builder, width):
+        with pytest.raises(TypeError) as excinfo:
+            builder(width)
+        assert str(excinfo.value) == f"width must be an int, got {type(width).__name__}"

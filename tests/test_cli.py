@@ -184,6 +184,8 @@ class TestUsageErrorsNamed:
             (["trace", "--m", "7"], "trace requires --x and --y (or --count > 1)"),
             (["sim", "--clocked", "dlatch", "--stimulus", '[{"e":1,"d":1}]', "--format", "text"],
              "sim --clocked prints JSON; drop --format text"),
+            # before the domain error of the even modulus
+            (["trace", "--m", "8"], "trace requires --x and --y (or --count > 1)"),
         ],
     )
     def test_usage_error_names_its_cause(self, capsys, argv, message):
@@ -268,6 +270,22 @@ class TestGoldenStdout:
         code, out, err = run(capsys, *argv.split())
         assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("build register --width 3",
+             "612ccf4958398cc0e394f00fc54ae0579502ea29d61c7e1378110e75a3558f92"),
+            ("build montgomery --m 0xC5",
+             "fd7786d2519e5077fc5db1770834dec930d627ddbbaaeaa5c443fe31aa816b17"),
+            ("build cpa --width 3",
+             "d7d799cce9ae5eccd4d18d53ea5b19a4e257f83199a26b0ad6abeadc4e95cea7"),
+        ],
+    )
+    def test_build_out_files_by_digest(self, capsys, tmp_path, argv, digest):
+        path = tmp_path / "built"
+        code, _, err = run(capsys, *argv.split(), "--out", str(path))
+        assert (code, hashlib.sha256(path.read_bytes()).hexdigest(), err) == (0, digest, "")
+
 
 class TestVerify:
     def test_fanout_fixture_fails(self, capsys, tmp_path):
@@ -296,6 +314,30 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "samples" in err
+
+    @pytest.mark.parametrize(
+        "options, refused",
+        [(["--samples", "5", "--seed", "9"], "samples"), (["--seed", "9"], "seed"),
+         (["--samples", "5", "--format", "text"], "samples")],
+    )
+    def test_auto_mode_refuses_sampling_when_exhaustive(self, capsys, tmp_path, options,
+                                                        refused):
+        path = tmp_path / "cpa2.rnl"
+        run(capsys, "build", "cpa", "--width", "2", "--out", str(path))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", str(path), *options])
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: verify --mode auto takes no --{refused}: {path} "
+                                     "has 7 source bits, so it is checked exhaustively\n")
+
+    def test_auto_mode_takes_sampling_when_random(self, capsys, tmp_path):
+        path = tmp_path / "cpa8.rnl"
+        run(capsys, "build", "cpa", "--width", "8", "--out", str(path))
+        code, out, err = run(capsys, "verify", str(path), "--samples", "20", "--seed", "9")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["reversibility"] == {
+            "cases": 20, "failures": [], "mode": "random", "ok": True}
 
     def test_syntax_error_reported(self, capsys, tmp_path):
         path = tmp_path / "syntax.rnl"

@@ -271,6 +271,12 @@ class TestReversibilityCheck:
         with pytest.raises(ValueError, match="samples"):
             check_reversibility(build_cpa(16), samples=samples)  # auto picks random
 
+    @pytest.mark.parametrize("samples", [True, 2.0])
+    def test_random_mode_needs_an_int_sample_count(self, samples):
+        with pytest.raises(TypeError) as excinfo:
+            check_reversibility(build_full_adder(), samples=samples, mode="random")
+        assert str(excinfo.value) == f"samples must be an int, got {type(samples).__name__}"
+
     def test_exhaustive_mode_refuses_too_many_source_bits(self):
         with pytest.raises(ValueError) as excinfo:
             check_reversibility(build_cpa(8), mode="exhaustive")
@@ -344,7 +350,7 @@ def reference_failures(netlist: Netlist, mode: str, samples: int = 1000, seed: i
         rng = random.Random(seed)
         vectors = (tuple(rng.randint(0, 1) for _ in sources) for _ in range(samples))
     failures, images = [], set()
-    plan = netlist._plan()
+    plan = netlist._plan
     for vec in vectors:
         values = dict(zip(plan.wires, plan.forward(vec)))
         out = tuple(values[w] for w in classified)
@@ -479,7 +485,7 @@ class TestBijectionExhaustive:
             source = list(netlist.primary_inputs) + list(netlist.constants)
             classified = list(netlist.primary_outputs) + list(netlist.garbage_outputs)
             images = set()
-            plan = netlist._plan()
+            plan = netlist._plan
             for vec in product((0, 1), repeat=len(source)):
                 values = dict(zip(plan.wires, plan.forward(vec)))
                 images.add(tuple(values[w] for w in classified))
@@ -561,7 +567,7 @@ def test_random_netlists_simulate_invert_verify_and_round_trip(netlist, data):
 @settings(max_examples=100, deadline=None)
 @given(random_netlists(), st.data())
 def test_random_netlists_forward_rows_match_reference(netlist, data):
-    plan = netlist._plan()
+    plan = netlist._plan
     rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(netlist.primary_inputs),
                                        max_size=len(netlist.primary_inputs)), max_size=5))
     constants = list(netlist.constants.values())
@@ -580,7 +586,7 @@ def test_random_netlists_forward_rows_match_reference(netlist, data):
 @settings(max_examples=100, deadline=None)
 @given(random_netlists(), st.data())
 def test_random_netlists_inverse_rows_match_scalar_inverse(netlist, data):
-    plan = netlist._plan()
+    plan = netlist._plan
     back = plan.backwards
     width = len(plan.sources)
     rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
@@ -734,27 +740,64 @@ def test_one_pass_validation_matches_reference(netlist):
     assert report == reference_validate(netlist)
     assert netlist.wires == reference_wires(netlist)
     assert report.as_dict() == reference_validate(netlist).as_dict()
-    order = netlist._toposort()
+    order = netlist._toposort
     assert (order is None) == (reference_toposort(netlist) is None)
     if order is not None:
         assert_topological(netlist, order)
     if report.ok:
-        plan = netlist._plan()
+        plan = netlist._plan
         assert [kind for kind, *_ in plan._gates] == [netlist.gates[i].kind for i in order]
         for _, in_slots, lo, _ in plan._gates:
             assert all(s < lo for s in in_slots)
     else:
         with pytest.raises(NetlistError) as info:
-            netlist._plan()
+            netlist._plan
         summary = "; ".join(v.detail for v in report.violations[:3])
         assert str(info.value) == (
             f"netlist tangled is invalid ({len(report.violations)} violations): {summary}"
         )
 
 
+def kahn_toposort(netlist: Netlist):
+    """Kahn's algorithm, taking ready gates in index order, or None on a cycle."""
+    producer: dict = {}
+    for i, g in enumerate(netlist.gates):
+        for w in g.outputs:
+            producer.setdefault(w, i)
+    deps = [{producer[w] for w in g.inputs if w in producer} for g in netlist.gates]
+    waiting = [len(dep) for dep in deps]
+    order = [i for i, n in enumerate(waiting) if not n]
+    for i in order:  # grows as gates become ready
+        for j, dep in enumerate(deps):
+            if i in dep:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    order.append(j)
+    return tuple(order) if len(order) == len(netlist.gates) else None
+
+
+def in_list_order(netlist: Netlist) -> bool:
+    """Whether every gate output a gate reads is driven by an earlier gate."""
+    pending = {w for g in netlist.gates for w in g.outputs}
+    for g in netlist.gates:
+        if not pending.isdisjoint(g.inputs):
+            return False
+        pending.difference_update(g.outputs)
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(tangled_netlists(), random_netlists()))
+def test_out_of_order_gate_list_takes_ready_gates_in_index_order(netlist):
+    if in_list_order(netlist):
+        assert netlist._toposort == tuple(range(len(netlist.gates)))
+    else:
+        assert netlist._toposort == kahn_toposort(netlist)
+
+
 def test_in_order_gate_list_keeps_its_order():
     netlist = build_csa42(3)
-    assert netlist._toposort() == tuple(range(len(netlist.gates)))
+    assert netlist._toposort == tuple(range(len(netlist.gates)))
     reordered = Netlist(
         primary_inputs=netlist.primary_inputs,
         constants=netlist.constants,
@@ -763,7 +806,7 @@ def test_in_order_gate_list_keeps_its_order():
         garbage_outputs=netlist.garbage_outputs,
     )
     assert reordered.validate().ok
-    assert_topological(reordered, reordered._toposort())
+    assert_topological(reordered, reordered._toposort)
     assert reordered.simulate({w: 1 for w in netlist.primary_inputs}) == netlist.simulate(
         {w: 1 for w in netlist.primary_inputs}
     )
@@ -772,7 +815,7 @@ def test_in_order_gate_list_keeps_its_order():
 @settings(max_examples=100, deadline=None)
 @given(random_netlists(), st.data())
 def test_forward_rows_builds_the_columns_it_is_asked_for(netlist, data):
-    plan = netlist._plan()
+    plan = netlist._plan
     rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=len(plan.sources),
                                        max_size=len(plan.sources)), min_size=1, max_size=5))
     columns = [list(col) for col in zip(*rows)] if plan.sources else []
@@ -789,7 +832,7 @@ def test_forward_rows_builds_the_columns_it_is_asked_for(netlist, data):
 
 def test_forward_rows_runs_each_gate_once_per_row_whatever_is_read(monkeypatch):
     netlist = build_csa42(2)
-    plan = netlist._plan()
+    plan = netlist._plan
     calls = []
     real_apply = GateKind.apply
 

@@ -317,6 +317,18 @@ class TestConstructionLimits:
         with pytest.raises(ValueError, match="width"):
             ShiftRegister(0)
 
+    @pytest.mark.parametrize("width", [True, 2.0])
+    @pytest.mark.parametrize("element", [Register, ShiftRegister])
+    def test_non_int_width(self, element, width):
+        with pytest.raises(TypeError) as excinfo:
+            element(width)
+        assert str(excinfo.value) == f"width must be an int, got {type(width).__name__}"
+
+    def test_zero_width_register_message(self):
+        with pytest.raises(ValueError) as excinfo:
+            Register(0)
+        assert str(excinfo.value) == "width must be >= 1, got 0"
+
     def test_latch_load_value_range(self):
         with pytest.raises(ValueError, match="one bit"):
             DLatch().load_value(2)
