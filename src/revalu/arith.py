@@ -23,7 +23,7 @@ forwards only.
 
 from __future__ import annotations
 
-from .bits import _check_width
+from .bits import _check_width, _require_bit
 from .gates import AND, FEYNMAN, OR, TSG, XOR
 from .netlist import GateInstance, Netlist
 
@@ -55,8 +55,7 @@ def tsg_as_full_adder(a: int, b: int, cin: int) -> tuple[int, int]:
     bit and the fourth the carry.
     """
     for name, bit in (("a", a), ("b", b), ("cin", cin)):
-        if type(bit) is not int or bit not in (0, 1):  # the table would take True and 1.0
-            raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
+        _require_bit(name, bit)  # the table would take True and 1.0
     out = TSG.apply((a, b, 0, cin))
     return out[2], out[3]
 

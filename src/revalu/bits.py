@@ -26,6 +26,13 @@ def _require_int(name: str, value: int) -> int:
     return value
 
 
+def _require_bit(label: str, value: int) -> int:
+    """The value, if it is the int 0 or 1: True and 1.0 are not bits."""
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"{label} must be 0 or 1, got {value!r}")
+    return value
+
+
 def _check_width(width: int) -> int:
     """The width, if it is an int of at least 1."""
     if _require_int("width", width) < 1:

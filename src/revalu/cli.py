@@ -78,10 +78,9 @@ _COMBINATIONAL = {
 }
 
 _SEQUENTIAL = {
-    "dlatch": sequential.DLatch,
-    "dff": sequential.MasterSlaveDFF,
-    "register": sequential.Register,
-    "shiftreg": sequential.ShiftRegister,
+    kind.name: kind
+    for kind in (sequential.DLatch, sequential.MasterSlaveDFF,
+                 sequential.Register, sequential.ShiftRegister)
 }
 
 

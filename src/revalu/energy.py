@@ -76,11 +76,6 @@ def erasure_report(circuit: Netlist) -> ErasureReport:
     )
 
 
-def erasure_bits(circuit: Netlist) -> float:
-    """Total internal information loss of the circuit, in bits."""
-    return erasure_report(circuit).internal_bits
-
-
 def _require_non_negative(what: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{what} must be finite and non-negative, got {value}")

@@ -376,8 +376,7 @@ class MontDatapath:
 
     def component_costs(self) -> dict[str, CostReport]:
         return {
-            "csa_stage1": self.stage1.cost_report(),
-            "csa_stage2": self.stage2.cost_report(),
+            **{stage.name: stage.cost_report() for stage in (self.stage1, self.stage2)},
             **{name: getattr(self, name).cost_report() for name, _, _ in _CLOCKED_PARTS},
             "final_adder": self.final_adder.cost_report(),
         }

@@ -46,7 +46,7 @@ from itertools import chain, islice
 from operator import add, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .bits import _require_int
+from .bits import _require_bit, _require_int
 from .gates import GateKind
 
 Bits = tuple[int, ...]
@@ -141,8 +141,7 @@ class Netlist:
         self.garbage_outputs = tuple(garbage_outputs)
         self.name = name
         for wire, value in self.constants.items():
-            if type(value) is not int or value not in (0, 1):  # 1.0 and True are not bits
-                raise ValueError(f"constant {wire} must be 0 or 1, got {value!r}")
+            _require_bit(f"constant {wire}", value)
         self._validation: ValidationReport | None = None
 
     # -- structure ---------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .bits import _check_width, _require_int, from_bits, to_bits
+from .bits import _check_width, _require_bit, _require_int, from_bits, to_bits
 from .gates import FEYNMAN, FREDKIN
 from .netlist import CostReport, GateInstance, Netlist
 
@@ -60,12 +60,6 @@ _LATCH_COST = LATCH_CORE.cost_report()
 _ALL = slice(None)
 _MASTERS = slice(0, None, 2)
 _SLAVES = slice(1, None, 2)
-
-
-def _input_bit(name: str, value: int) -> int:
-    if type(value) is not int or value not in (0, 1):  # 1.0 and True are not bits
-        raise ValueError(f"input {name!r} must be 0 or 1, got {value!r}")
-    return value
 
 
 def _one_bit(value: int) -> int:
@@ -132,7 +126,7 @@ class ClockedCircuit:
         for name in self._inputs:
             if name not in inputs:
                 raise ValueError(f"missing input {name!r}")
-            bits.append(_input_bit(name, inputs[name]))
+            bits.append(_require_bit(f"input {name!r}", inputs[name]))
         if len(inputs) > len(bits):
             unknown = [repr(name) for name in inputs if name not in self._inputs]
             raise ValueError(
@@ -272,7 +266,7 @@ class MasterSlaveDFF(ClockedCircuit):
 
     def pulse(self, d: int) -> dict[str, int]:
         """One full clock pulse: evaluate at cp=1, then at cp=0."""
-        return {"q": _pulse((self,), _input_bit("d", d))[0]}
+        return {"q": _pulse((self,), _require_bit("input 'd'", d))[0]}
 
     def load_value(self, value: int) -> None:
         self._q[:] = (_one_bit(value),) * 2
@@ -300,7 +294,7 @@ class ShiftRegister(ClockedCircuit):
         return _shift_outputs(_edge((self,), cp, sin))
 
     def pulse(self, sin: int = 0) -> dict[str, int]:
-        return _shift_outputs(_pulse((self,), _input_bit("sin", sin)))
+        return _shift_outputs(_pulse((self,), _require_bit("input 'sin'", sin)))
 
     def load_value(self, value: int) -> None:
         self._force_bits(to_bits(_require_int("value", value), self.width))

@@ -21,7 +21,6 @@ from revalu import (
     build_irreversible_cpa,
     dpa_diff_of_means,
     energy_report,
-    erasure_bits,
     erasure_report,
     esig_energy,
     landauer_energy,
@@ -45,19 +44,20 @@ class TestErasure:
             build_csa42(2),
             build_csa52(2),
         ):
-            assert erasure_bits(netlist) == 0.0
+            assert erasure_report(netlist).internal_bits == 0.0
 
     def test_and_gate_shannon_loss(self):
         # Output distribution (3/4, 1/4): loss = 2 - H = 1.1887... bits.
         expected = 2 - (-0.75 * math.log2(0.75) - 0.25 * math.log2(0.25))
-        assert erasure_bits(single_gate("and")) == pytest.approx(expected, abs=1e-12)
-        assert erasure_bits(single_gate("and")) == pytest.approx(1.189, abs=1e-3)
+        loss = erasure_report(single_gate("and")).internal_bits
+        assert loss == pytest.approx(expected, abs=1e-12)
+        assert loss == pytest.approx(1.189, abs=1e-3)
 
     def test_xor_gate_loses_exactly_one_bit(self):
-        assert erasure_bits(single_gate("xor")) == pytest.approx(1.0, abs=1e-12)
+        assert erasure_report(single_gate("xor")).internal_bits == pytest.approx(1.0, abs=1e-12)
 
     def test_not_gate_is_lossless(self):
-        assert erasure_bits(single_gate("not")) == 0.0
+        assert erasure_report(single_gate("not")).internal_bits == 0.0
 
     def test_naive_count_differs_from_shannon(self):
         report = erasure_report(single_gate("and"))
@@ -85,7 +85,7 @@ class TestErasure:
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
-            erasure_bits("not a circuit")
+            erasure_report("not a circuit")
 
 
 class TestLandauer:

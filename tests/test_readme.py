@@ -1,4 +1,4 @@
-"""README's examples run as written: the library example, and each CLI-tour line that states its output."""
+"""README's examples run as written, and its module table names every module."""
 
 import ast
 import re
@@ -9,7 +9,8 @@ import pytest
 
 from revalu.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def _block(heading: str, lang: str) -> str:
@@ -44,6 +45,13 @@ def test_library_example_runs(capsys):
 def test_tour_states_the_outputs_it_is_known_for():
     assert {"build fa", "montmul --x 3 --y 5 --m 7 --n 3",
             "montexp --a 5 --b 3 --mod 7"} <= STATED.keys()
+
+
+def test_module_table_names_every_module():
+    section = README.split("\n## What's inside\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\| `revalu\.(\w+)` \|", section, re.M))
+    modules = {p.stem for p in (ROOT / "src" / "revalu").glob("*.py")} - {"__init__", "__main__"}
+    assert listed == modules
 
 
 @pytest.mark.parametrize("args", STATED)
