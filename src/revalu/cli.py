@@ -221,35 +221,23 @@ def _cmd_sim(args, parser) -> int:
     return 0
 
 
+#: The `montmul --trace` keys that differ from their `CycleRecord` field names.
+_TRACE_KEYS = {"index": "cycle", "total_after_multiplicand": "after_multiplicand",
+               "total_after_parity_clear": "after_parity_clear"}
+
+
 def _cmd_montmul(args, parser) -> int:
     params = MontParams.for_modulus(args.m, args.n)
     if args.gate_level:
         datapath = MontDatapath(params)
-        product = datapath.run(args.x, args.y)
-        cycles = datapath.last_run.cycles
+        datapath.run(args.x, args.y)
+        record = datapath.last_run
     else:
-        trace = mont_mult_trace(args.x, args.y, params)
-        product = trace.product
-        cycles = trace.cycles
-    print(product)
+        record = mont_mult_trace(args.x, args.y, params)
+    print(record.product)
     if args.trace:
-        print(
-            json.dumps(
-                [
-                    {
-                        "cycle": c.index,
-                        "x_bit": c.x_bit,
-                        "s0": c.s0,
-                        "after_multiplicand": c.total_after_multiplicand,
-                        "after_parity_clear": c.total_after_parity_clear,
-                        "s": c.s,
-                        "c": c.c,
-                    }
-                    for c in cycles
-                ],
-                sort_keys=True,
-            )
-        )
+        cycles = [{_TRACE_KEYS.get(k, k): v for k, v in vars(c).items()} for c in record.cycles]
+        print(json.dumps(cycles, sort_keys=True))
     return 0
 
 

@@ -25,6 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
+from operator import add
 from statistics import fmean
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -56,6 +57,9 @@ class ErasureReport(NamedTuple):
 
     def as_dict(self) -> dict:
         return self._asdict()
+
+    def __add__(self, other: "ErasureReport") -> "ErasureReport":
+        return ErasureReport(*map(add, self, other))
 
 
 def erasure_report(circuit: Netlist) -> ErasureReport:
@@ -150,8 +154,11 @@ def dpa_diff_of_means(
     for t in traces:
         if len(t) != length:
             raise ValueError(f"ragged trace lengths: {len(t)} vs {length}")
-    selected = [t for t in traces if selector(t.metadata)]
-    unselected = [t for t in traces if not selector(t.metadata)]
+    if not length:
+        raise ValueError("traces hold no samples")
+    selected, unselected = [], []
+    for t in traces:
+        (selected if selector(t.metadata) else unselected).append(t)
     if not selected or not unselected:
         raise ValueError("selector must split traces into two non-empty classes")
     return tuple(
@@ -188,14 +195,8 @@ def energy_report(
     netlists whose erasure figures are summed, e.g. all the
     combinational cores of a datapath.
     """
-    circuits = [circuit] if isinstance(circuit, Netlist) else list(circuit)
-    internal = naive = 0.0
-    deferred = 0
-    for piece in circuits:
-        erasure = erasure_report(piece)
-        internal += erasure.internal_bits
-        naive += erasure.naive_bits
-        deferred += erasure.deferred_bits
+    circuits = [circuit] if isinstance(circuit, Netlist) else circuit
+    internal, naive, deferred = sum(map(erasure_report, circuits), ErasureReport(0.0, 0.0, 0))
     transitions = trace.total_transitions if trace is not None else 0.0
     return EnergyReport(
         erased_bits=internal,

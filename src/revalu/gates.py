@@ -32,6 +32,16 @@ Bits = tuple[int, ...]
 MAX_ENUMERABLE_ARITY = 16
 
 
+def _check_arity(arity: int) -> None:
+    if arity < 1:
+        raise ValueError(f"gate arity must be positive, got {arity}")
+    if arity > MAX_ENUMERABLE_ARITY:
+        raise ValueError(
+            f"gate arity {arity} exceeds the enumerable limit "
+            f"{MAX_ENUMERABLE_ARITY}"
+        )
+
+
 class GateKind:
     """A named gate defined by an explicit truth table.
 
@@ -46,13 +56,7 @@ class GateKind:
     __slots__ = ("name", "arity", "n_out", "_table", "_inverse", "conservative")
 
     def __init__(self, name: str, arity: int, table: Mapping[Bits, Bits]):
-        if arity < 1:
-            raise ValueError(f"gate arity must be positive, got {arity}")
-        if arity > MAX_ENUMERABLE_ARITY:
-            raise ValueError(
-                f"gate arity {arity} exceeds the enumerable limit "
-                f"{MAX_ENUMERABLE_ARITY}"
-            )
+        _check_arity(arity)
         self.name = name
         self.arity = arity
         expected = 1 << arity
@@ -80,11 +84,7 @@ class GateKind:
         cls, name: str, arity: int, fn: Callable[..., Bits]
     ) -> "GateKind":
         """Enumerate `fn` over all input patterns into a truth table."""
-        if arity > MAX_ENUMERABLE_ARITY:
-            raise ValueError(
-                f"gate arity {arity} exceeds the enumerable limit "
-                f"{MAX_ENUMERABLE_ARITY}"
-            )
+        _check_arity(arity)
         table = {bits: tuple(fn(*bits)) for bits in product((0, 1), repeat=arity)}
         return cls(name, arity, table)
 

@@ -27,10 +27,10 @@ the final conditional subtraction is performed at word level.
 Each datapath builds, validates and compiles its own two stages and
 final adder when it is constructed, and runs them on register bits
 straight through their plans. Register contents stay bit lists from
-cycle to cycle; they become ints only for the cycle records and the
-invariants. `MontTrace` and `MontRun` are ``typing.NamedTuple``s; `MontParams`
-stays a frozen dataclass because it validates, and `CycleRecord` because
-callers use it with ``dataclasses.asdict`` and ``replace``.
+cycle to cycle; they become ints only for the cycle records, which
+`_record` builds for both loops. `MontTrace` and `MontRun` are ``typing.NamedTuple``s;
+`MontParams` stays a frozen dataclass because it validates, and `CycleRecord`
+because callers use it with ``dataclasses.asdict`` and ``replace``.
 """
 
 from __future__ import annotations
@@ -163,16 +163,21 @@ def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
     for i, xi in enumerate(format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]):
         s1, c1 = _csa(s, c, y if xi else 0)
         c1 <<= 1
-        s0 = s1 & 1
-        s2, c = _csa(s1, c1, m if s0 else 0)
+        s2, c = _csa(s1, c1, m if s1 & 1 else 0)
         if s2 & 1:
             raise InvariantError("parity set before halving; halving would be inexact")
         s = s2 >> 1
         if s + c >= 2 * m:
             raise InvariantError("running sum S + C reached 2M")
-        cycles.append(CycleRecord(i, xi, s0, s1 + c1, s2 + (c << 1), s, c))
+        cycles.append(_record(i, xi, s1, c1, s, c))
     p = s + c
     return MontTrace(params, x, y, tuple(cycles), p - m if p >= m else p)
+
+
+def _record(index: int, x_bit: int, s1: int, c1: int, s: int, c: int) -> CycleRecord:
+    """One scan step's record, from S1, C1 after stage 1 and S, C after the
+    halving: stage 2 leaves its sum even, so its total is 2 * (S + C)."""
+    return CycleRecord(index, x_bit, s1 & 1, s1 + c1, 2 * (s + c), s, c)
 
 
 def _csa(a: int, b: int, c: int) -> tuple[int, int]:
@@ -400,8 +405,6 @@ class MontDatapath:
     def run(self, x: int, y: int) -> int:
         """Clock the datapath n cycles and resolve the product.
 
-        Register contents stay bit lists from cycle to cycle; they
-        become ints only for the cycle records and the invariants.
         Each cycle loads S and C together, then pulses the three shift
         registers together, the Y and M registers holding beside them:
         five latch-core calls in all.
@@ -424,19 +427,17 @@ class MontDatapath:
             # S and C load together; the carry word moves up one place.
             _load((s_reg, c_reg), (*sum1, 0, *car1[:-1]))
             s_bits, c_bits = s_reg.bits, c_reg.bits
-            total_after_multiplicand = from_bits(s_bits) + from_bits(c_bits)
 
             sum2, car2 = self._run2(s_bits + c_bits + m_reg.bits)
             _invariant(car2[-1] == 0, "stage 2 carry spills past the register")
             _invariant(sum2[0] == 0, "stage 2 left the parity set; halving would be inexact")
-            total_after_parity_clear = from_bits(sum2) + (from_bits(car2) << 1)
 
             s_shift._force_bits(sum2)
             c_shift._force_bits((0, *car2[:-1]))
             _pulse((s_shift, c_shift, x_shift), 0, holds=(y_reg, m_reg))
 
-            cycles.append(CycleRecord(i, xi, s_bits[0], total_after_multiplicand,
-                                      total_after_parity_clear, s_shift.value, c_shift.value))
+            cycles.append(_record(i, xi, from_bits(s_bits), from_bits(c_bits),
+                                  s_shift.value, c_shift.value))
             snapshots.append(self._snapshot())
 
         (total,) = self._add(s_shift.bits + c_shift.bits + [0])  # cin = 0

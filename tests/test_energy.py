@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from revalu import (
     K_BOLTZMANN,
+    ErasureReport,
     MontDatapath,
     MontParams,
     PowerTrace,
@@ -252,6 +253,30 @@ class TestDpa:
         traces = [PowerTrace((1.0,), {"key": 1}), PowerTrace((2.0, 3.0), {"key": 0})]
         with pytest.raises(ValueError, match="ragged"):
             dpa_diff_of_means(traces, lambda md: md["key"] == 1)
+
+    def test_traces_without_samples_rejected(self):
+        traces = [PowerTrace(()), PowerTrace((), {"x": 1})]
+        with pytest.raises(ValueError) as excinfo:
+            dpa_diff_of_means(traces, lambda md: md.get("x", 0))
+        assert str(excinfo.value) == "traces hold no samples"
+
+    def test_selector_called_once_per_trace(self):
+        traces = [PowerTrace((float(i),), {"key": i % 2}) for i in range(6)]
+        seen = []
+
+        def selector(md):
+            seen.append(md["key"])
+            return md["key"] == 1
+
+        assert dpa_diff_of_means(traces, selector) == (1.0,)
+        assert seen == [0, 1, 0, 1, 0, 1]
+
+
+class TestErasureReportSum:
+    def test_addition_is_field_wise(self):
+        total = ErasureReport(1.5, 2.0, 3) + ErasureReport(0.25, 1.0, 4)
+        assert type(total) is ErasureReport
+        assert total == ErasureReport(1.75, 3.0, 7)
 
 
 class TestEnergyReport:

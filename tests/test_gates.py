@@ -198,6 +198,18 @@ class TestConstruction:
             GateKind("X", arity, {})
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("arity", [-1, 0])
+    def test_arity_below_one_refused_before_enumerating(self, arity):
+        def never_called(*bits):
+            raise AssertionError("from_function enumerated an invalid arity")
+
+        with pytest.raises(ValueError) as excinfo:
+            GateKind.from_function("X", arity, never_called)
+        assert str(excinfo.value) == f"gate arity must be positive, got {arity}"
+
+    def test_repr(self):
+        assert repr(GateKind.from_function("ID", 1, lambda a: (a,))) == "GateKind('ID', arity=1)"
+
     def test_partial_table_refused(self):
         with pytest.raises(ValueError, match="entries"):
             GateKind("PART", 2, {(0, 0): (0, 0)})

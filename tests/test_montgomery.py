@@ -557,6 +557,25 @@ class TestCycleRecord:
         assert dataclasses.replace(record, s=1) == mg.CycleRecord(**{**self.FIELDS, "s": 1})
 
 
+class TestOneRecordRule:
+    def test_cycle_record_is_constructed_in_one_place(self):
+        src = os.path.dirname(revalu.__file__)
+        callers = []
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(src, name)) as handle:
+                tree = ast.parse(handle.read())
+            for func in ast.walk(tree):
+                if isinstance(func, ast.FunctionDef):
+                    callers += [
+                        (name, func.name) for node in ast.walk(func)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "CycleRecord"
+                    ]
+        assert callers == [("montgomery.py", "_record")]
+
+
 class TestDatapathInvariants:
     # An even value forced into m_reg cannot clear the parity bit, so
     # halving would be inexact and the product wrong.
@@ -633,6 +652,19 @@ class TestWordLevelInvariants:
         lines = result.stdout.splitlines()
         assert [line.split(":")[0] for line in lines] == ["mont_mult_word", "mont_mult_trace"]
         assert all(": InvariantError: parity" in line for line in lines), lines
+
+    def test_running_sum_bound_is_checked(self, monkeypatch):
+        # A carry word pushed up by 2^10 on every stage breaks S + C < 2M.
+        csa = mg._csa
+
+        def csa_with_raised_carry(a, b, c):
+            total, carry = csa(a, b, c)
+            return total, carry + (1 << 10)
+
+        monkeypatch.setattr(mg, "_csa", csa_with_raised_carry)
+        with pytest.raises(mg.InvariantError) as excinfo:
+            mont_mult_trace(3, 5, MontParams(7, 3))
+        assert str(excinfo.value) == "running sum S + C reached 2M"
 
 
 class TestWordMatchesTrace:

@@ -470,6 +470,9 @@ class TestCostReport:
             "constant_input_count",
         }
 
+    def test_repr(self):
+        assert repr(build_cpa(2)) == "Netlist('cpa2', 5 in, 2 gates, 3 out, 4 garbage)"
+
     def test_cost_addition(self):
         a = build_full_adder().cost_report()
         b = build_cpa(2).cost_report()
