@@ -315,8 +315,9 @@ def _cmd_trace(args, parser) -> int:
 
 
 def _parse_selector(spec: str):
-    field, _, bit_text = spec.partition(":")
-    bit_text = bit_text or "0"
+    field, colon, bit_text = spec.partition(":")
+    if not colon:
+        bit_text = "0"
     if not field or not bit_text.isdecimal():
         raise ValueError(f"bad selector {spec!r}, expected FIELD[:BIT]")
     bit = int(bit_text)
@@ -374,7 +375,7 @@ def _cmd_dpa(args, parser) -> int:
     else:
         _refuse(args, parser, "dpa --traces", ("m", "count", "seed"))
     _defaults(args, m=7, count=16, seed=0)
-    selector = _parse_selector(args.select or "x:0")
+    selector = _parse_selector("x:0" if args.select is None else args.select)
     if args.demo:
         params = MontParams.for_modulus(args.m)
         traces = _run_traces(MontDatapath(params), _operand_pairs(params, args.count, args.seed))

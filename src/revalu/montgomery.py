@@ -2,7 +2,8 @@
 
 `mont_mult_word` runs radix-2 Montgomery on one running total T: each
 step adds x_i * Y, then M if T is odd (M is odd, so that clears the
-parity bit), checks the parity and halves T. After n steps T equals
+parity bit), and halves T, with one parity test and at most one
+addition (of Y, M or Y + M) per step. After n steps T equals
 X * Y * 2^(-n) modulo M, up to one final conditional subtraction.
 `mont_mult_trace` runs the same steps on the carry-save words S and C
 whose sum is T, as the hardware does, so that it can record them. The
@@ -116,6 +117,9 @@ class CycleRecord:
     c: int
 
 
+_ODD_BEFORE_HALVING = "parity set before halving; halving would be inexact"
+
+
 class MontTrace(NamedTuple):
     params: MontParams
     x: int
@@ -128,21 +132,34 @@ def mont_mult_word(x: int, y: int, params: MontParams) -> int:
     """Compute x * y * 2^(-n) mod M on the running total.
 
     Each step adds x_i * Y, then M if the total is odd, and halves it;
-    x is read once, LSB first. Adding an odd M leaves the total even,
-    so the parity check, made on every step and also under `python -O`,
-    fails only for a modulus forced even past `MontParams`.
+    x is read once, LSB first. The step tests the parity of T once and
+    makes at most one addition: with x_i set, T + Y is odd exactly when
+    the low bits of T and Y differ, and then Y + M (summed once per
+    call) is added, else Y; with x_i clear, M is added when T is odd.
+    An odd total plus M stays odd exactly when M is even, so the parity
+    check becomes "M is even", made wherever M would be added, also
+    under `python -O`; it fails only for a modulus forced even past
+    `MontParams`, at the same step as the carry-save trace.
     """
     _check_operand("x", x, params)
     _check_operand("y", y, params)
     m = params.modulus
+    y0 = y & 1
+    ym = y + m
+    m_even = not m & 1
     t = 0
     for xi in format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]:
         if xi:
-            t += y
-        if t & 1:
+            if (t & 1) != y0:
+                if m_even:
+                    raise InvariantError(_ODD_BEFORE_HALVING)
+                t += ym
+            else:
+                t += y
+        elif t & 1:
+            if m_even:
+                raise InvariantError(_ODD_BEFORE_HALVING)
             t += m
-            if t & 1:
-                raise InvariantError("parity set before halving; halving would be inexact")
         t >>= 1
     return t - m if t >= m else t
 
@@ -165,7 +182,7 @@ def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
         c1 <<= 1
         s2, c = _csa(s1, c1, m if s1 & 1 else 0)
         if s2 & 1:
-            raise InvariantError("parity set before halving; halving would be inexact")
+            raise InvariantError(_ODD_BEFORE_HALVING)
         s = s2 >> 1
         if s + c >= 2 * m:
             raise InvariantError("running sum S + C reached 2M")

@@ -31,6 +31,13 @@ gate's result rows straight to the gate that reads them and builds
 columns only for the slots its caller reads. `check_reversibility`
 runs blocks of source vectors, held by column, through both plans.
 
+Every gate evaluation, in either runner, is one `GateKind.apply` call
+(`invert` when running backwards), looked up on the kind when the
+runner runs, never bound ahead of time. perfbench's traced phase and
+`test_gate_evaluations_and_garbage_per_run` count these calls against
+the structural count, so a kernel that evaluates several gates or
+latches per call fails them until ROADMAP items 1 and 2 land.
+
 The four reports are ``typing.NamedTuple``s, cheap to define at import;
 `GateInstance` stays a frozen dataclass because its constructor checks arity.
 """
@@ -491,7 +498,8 @@ class _Plan:
         """Run `forward` once per row of a batch held by column.
 
         `columns[k]` holds source k's bit in every row; a batch has as
-        many rows as its shortest column. Each gate runs on all rows,
+        many rows as its shortest column, so if any column is empty,
+        every slot of the result is empty. Each gate runs on all rows,
         one `kind.apply` call per row, before the next gate. The result
         holds the bits of every slot in `read` (default: every slot) in
         every row, the same way. A gate none of whose outputs is in
@@ -499,7 +507,7 @@ class _Plan:
         straight to the gates that read them, and its slots in the
         result hold no column.
         """
-        if not columns or not len(columns[0]):
+        if not columns or not all(columns):  # any empty column empties the batch
             return [()] * len(self.wires)
         cols = [*columns, *self._pad]
         for kind, gather, lo, hi, handoffs in self._batch_program(read):

@@ -21,6 +21,13 @@ fan-out. The elements' own methods and the Montgomery datapath both
 clock through these helpers; the datapath's cycle is one `_load` and
 one `_pulse`, five core calls. The element classes differ only in wiring.
 
+A latch step is two gate evaluations, each one `GateKind.apply` call
+made by the core's batch runner. perfbench's traced phase and
+`test_gate_evaluations_and_garbage_per_run` count those calls, and
+`test_five_latch_core_calls_per_cycle` the core calls, so a kernel that
+steps several latches per call, or binds `apply` ahead of time, fails
+them until ROADMAP items 1 and 2 land.
+
 Each latch discards two bits per step (the enable pass-through and the
 Fredkin swap residue); the running total is tracked per element because
 garbage accumulates over time in sequential reversible logic.
@@ -150,8 +157,8 @@ def _clock(ranks, e: int, data: Sequence[int]) -> Sequence[int]:
 
     A rank is some elements and the slice of latches that steps in each.
     One core call runs the ranks in order and returns their observable
-    outputs, concatenated. The rails span the merged rank, as a batch is
-    only as long as its shortest column.
+    outputs, concatenated. `data` must hold one bit per latch of the
+    merged rank; any other length is refused before a latch moves.
     """
     held: list[int] = []
     ends = []
@@ -160,6 +167,8 @@ def _clock(ranks, e: int, data: Sequence[int]) -> Sequence[int]:
             held += circuit._q[latches]
             ends.append((circuit, latches, len(held)))
     rows = len(held)
+    if len(data) != rows:
+        raise ValueError(f"{len(data)} data bits for {rows} latches")
     slots = _LATCH.forward_rows(((e,) * rows, data, held, (0,) * rows), _READ)  # e, d, q, z
     new = slots[_QS]
     start = 0

@@ -593,10 +593,11 @@ class TestArgumentsCheckedBeforeRuns:
         assert err.startswith(f"error: {named} must be finite")
         assert runs == []
 
-    def test_bad_selector_rejected_before_any_run(self, capsys, runs):
-        code, out, err = run(capsys, "dpa", "--demo", "--m", "7", "--select", "x:z")
+    @pytest.mark.parametrize("spec", ["x:z", "x:", pytest.param("", id="empty")])
+    def test_bad_selector_rejected_before_any_run(self, capsys, runs, spec):
+        code, out, err = run(capsys, "dpa", "--demo", "--m", "7", "--select", spec)
         assert code == 1 and out == ""
-        assert "bad selector 'x:z'" in err
+        assert f"bad selector {spec!r}" in err
         assert runs == []
 
 

@@ -27,6 +27,7 @@ from revalu import (
     serialize_rnl,
 )
 from revalu.netlist import ValidationReport, Violation
+from revalu.sequential import LATCH_CORE
 
 
 def feynman_copy() -> Netlist:
@@ -831,6 +832,16 @@ def test_forward_rows_builds_the_columns_it_is_asked_for(netlist, data):
     for r, row in enumerate(rows):
         full = plan.forward(row)
         assert [every[s][r] for s in range(len(plan.wires))] == full
+
+
+@pytest.mark.parametrize("netlist", [LATCH_CORE, build_csa42(2)], ids=lambda n: n.name)
+def test_forward_rows_batch_is_empty_when_any_column_is(netlist):
+    plan = netlist._plan
+    for empty in range(len(plan.sources)):
+        columns = [() if k == empty else (0, 1) for k in range(len(plan.sources))]
+        for read in (None, (), tuple(plan.output_slots)):
+            slots = plan.forward_rows(columns, read)
+            assert [tuple(col) for col in slots] == [()] * len(plan.wires)
 
 
 def test_forward_rows_runs_each_gate_once_per_row_whatever_is_read(monkeypatch):

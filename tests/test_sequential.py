@@ -15,6 +15,7 @@ from revalu import (
     ShiftRegister,
     check_reversibility,
 )
+from revalu import sequential
 from revalu.bits import from_bits, to_bits
 
 
@@ -240,6 +241,25 @@ class TestUnknownInputs:
         with pytest.raises(ValueError, match=message):
             element.step(inputs)
         assert (element.state, element.value, element.garbage_bits_emitted) == before
+
+
+class TestRankDataLength:
+    """A rank whose data does not match its latches is refused before any latch moves."""
+
+    @pytest.mark.parametrize("data", [[1, 1], [1, 1, 1, 1], []])
+    def test_register_load_refuses_wrong_data_length(self, data):
+        reg = Register(3)
+        reg.load(5)
+        before = (reg.state, reg.garbage_bits_emitted)
+        with pytest.raises(ValueError, match=rf"^{len(data)} data bits for 3 latches$"):
+            sequential._load((reg,), data)
+        assert (reg.state, reg.garbage_bits_emitted) == before
+
+    def test_merged_rank_counts_every_element(self):
+        regs = (Register(2), Register(3))
+        with pytest.raises(ValueError, match=r"^4 data bits for 5 latches$"):
+            sequential._load(regs, [1] * 4)
+        assert [(r.state, r.garbage_bits_emitted) for r in regs] == [((0, 0), 0), ((0, 0, 0), 0)]
 
 
 class TestOnlyIntBits:
