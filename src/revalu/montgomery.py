@@ -278,7 +278,7 @@ def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Net
         lines.append(copy)
     and_lines = lines + [cur] if not tap_lsb else lines
     slice0_a = cur if tap_lsb else si[0]
-    assert len(and_lines) == n
+    _invariant(len(and_lines) == n, f"{len(and_lines)} AND lines for {n} operand bits")
 
     products = _bus("p", n)
     for j in range(n):

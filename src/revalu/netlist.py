@@ -22,10 +22,10 @@ Evaluation runs a plan compiled once per validated netlist: every wire
 gets a slot in a flat list of bits, and each gate reads and writes
 fixed slots in topological order. Backwards is a second plan of the
 same kind, with the gates reversed and `invert` in place of `apply`,
-so one scalar and one batch runner serve both directions. The scalar
-`forward` runs each wave of consecutive gates of one kind that do not
-read one another as one `map`, still one gate call per gate. Arguments
-are checked once per call, at the boundary (`simulate`,
+so one scalar and one batch runner serve both directions. Both walk
+one compiled step list per plan, a kind and a slot gather per gate:
+the scalar `forward` appends each gate's result to the bit list.
+Arguments are checked once per call, at the boundary (`simulate`,
 `simulate_inverse`), not per gate. The batch `forward_rows` hands a
 gate's result rows straight to the gate that reads them and builds
 columns only for the slots its caller reads. `check_reversibility`
@@ -397,11 +397,12 @@ class _Plan:
 
     The slots are the sources, then each step's outputs in order, so
     every step writes one contiguous run of slots above those it reads.
-    `forward` runs one vector; `forward_rows` runs a batch of them (a
-    rank of latches sharing one core, a block of reversibility cases)
-    held as one column of bits per slot. A netlist's plan runs its gates
-    in topological order; `backwards` undoes it. Each runner is compiled
-    on its first use.
+    Each step compiles to its kind and a gather of its input slots; both
+    runners walk that one list. `forward` runs one vector; `forward_rows`
+    runs a batch of them (a rank of latches sharing one core, a block of
+    reversibility cases) held as one column of bits per slot. A
+    netlist's plan runs its gates in topological order; `backwards`
+    undoes it.
     """
 
     def __init__(self, sources: Sequence[str], steps: list[tuple], outputs: Sequence[str]):
@@ -412,50 +413,29 @@ class _Plan:
         self.output_slots = [self.slot[w] for w in self.outputs]
         self._pad = [None] * (len(self.wires) - len(self.sources))
         self._programs: dict = {}  # `forward_rows` steps by the slots read
-        #: Per step: kind, input slots, output slots lo:hi.
-        self._gates = []
+        self._gates = []  # per step: kind, input slots, output slots lo:hi
+        self._steps = []  # per step: kind, input gather; the program both runners walk
         slot_of = self.slot.__getitem__
         lo = len(self.sources)
         for kind, ins, outs in steps:
             hi = lo + len(outs)
-            self._gates.append((kind, [*map(slot_of, ins)], lo, hi))
+            in_slots = [*map(slot_of, ins)]
+            self._gates.append((kind, in_slots, lo, hi))
+            self._steps.append((kind, _gather(in_slots)))
             lo = hi
 
     @cached_property
     def backwards(self) -> "_Plan":
         """From the outputs back to the sources: each step reversed, in reverse order.
 
-        The single-sink rule makes each wire the output of one step. One
-        `_Inverted` per kind lets `_waves` group a kind's steps as forwards.
+        The single-sink rule makes each wire the output of one step.
         """
-        inverted = {kind: _Inverted(kind) for kind in {kind for kind, *_ in self._gates}}
         wires = self.wires
         steps = [
-            (inverted[kind], wires[lo:hi], [wires[s] for s in in_slots])
+            (_Inverted(kind), wires[lo:hi], [wires[s] for s in in_slots])
             for kind, in_slots, lo, hi in reversed(self._gates)
         ]
         return _Plan(self.outputs, steps, self.sources)
-
-    @cached_property
-    def _waves(self) -> list[tuple]:
-        """Runs of consecutive gates of one kind, none reading another's output.
-
-        A wave writes the next run of slots and reads its inputs as one
-        flat tuple: (kind, gather, arity), with arity 0 for a wave of
-        one gate, whose gather gives its inputs directly.
-        """
-        runs: list[list] = []
-        for kind, in_slots, lo, hi in self._gates:
-            # A step reads only slots below its own.
-            if runs and runs[-1][0] is kind and max(in_slots, default=-1) < runs[-1][2]:
-                runs[-1][1] += in_slots
-                runs[-1][3] += 1
-            else:
-                runs.append([kind, [*in_slots], lo, 1])
-        return [
-            (kind, _gather(slots), len(slots) // count if count > 1 else 0)
-            for kind, slots, _, count in runs
-        ]
 
     def _batch_program(self, read: tuple[int, ...] | None) -> list[tuple]:
         """The steps of `forward_rows` for a caller that reads the slots `read`.
@@ -471,25 +451,22 @@ class _Plan:
             wanted = range(len(self.wires)) if read is None else frozenset(read)
             gate_read = {s for _, in_slots, _, _ in self._gates for s in in_slots}
             program = self._programs[read] = [
-                (kind, _gather(in_slots), lo, hi,
+                (kind, gather, lo, hi,
                  None if any(s in wanted for s in range(lo, hi))
                  else [(s, itemgetter(s - lo)) for s in range(lo, hi) if s in gate_read])
-                for kind, in_slots, lo, hi in self._gates
+                for (kind, gather), (_, _, lo, hi) in zip(self._steps, self._gates)
             ]
         return program
 
     def forward(self, sources: Sequence[int]) -> list:
         """Run the steps from the source bits; return all slots.
 
-        Each wave of gates runs as one `map` of `kind.apply` over its
-        gates' input tuples.
+        Each step appends `kind.apply` of its gathered inputs, which
+        writes its output slots because they follow the slots before it.
         """
         bits = [*sources]
-        for kind, gather, arity in self._waves:
-            if arity:
-                bits += chain.from_iterable(map(kind.apply, zip(*[iter(gather(bits))] * arity)))
-            else:
-                bits += kind.apply(gather(bits))
+        for kind, gather in self._steps:
+            bits += kind.apply(gather(bits))
         return bits
 
     def forward_rows(

@@ -609,6 +609,19 @@ class TestDatapathInvariants:
         assert result.stdout.startswith("InvariantError: ")
         assert "parity" in result.stdout
 
+    def test_no_module_asserts(self):
+        # `python -O` strips assert statements; every check in the package
+        # must raise on its own, as `_invariant` does.
+        src = os.path.dirname(revalu.__file__)
+        asserting = []
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name)) as handle:
+                    tree = ast.parse(handle.read())
+                asserting += [(name, node.lineno) for node in ast.walk(tree)
+                              if isinstance(node, ast.Assert)]
+        assert asserting == []
+
     def test_invariant_error_is_named(self):
         datapath = MontDatapath(MontParams(7, 3))
         load = datapath.m_reg.load_value

@@ -13,6 +13,7 @@ from revalu import (
     AND,
     FEYNMAN,
     FREDKIN,
+    NOT,
     TOFFOLI,
     TSG,
     GateInstance,
@@ -26,7 +27,7 @@ from revalu import (
     parse_rnl,
     serialize_rnl,
 )
-from revalu.netlist import ValidationReport, Violation
+from revalu.netlist import ReversibilityReport, ValidationReport, Violation
 from revalu.sequential import LATCH_CORE
 
 
@@ -494,6 +495,47 @@ class TestBijectionExhaustive:
                 values = dict(zip(plan.wires, plan.forward(vec)))
                 images.add(tuple(values[w] for w in classified))
             assert len(images) == 1 << len(source)
+
+
+def not_chain() -> Netlist:
+    """One-input gates only: two NOTs in series on `a`, one on `b`, listed out of order."""
+    return Netlist(
+        primary_inputs=["a", "b"],
+        gates=[GateInstance(NOT, ("x",), ("y",)), GateInstance(NOT, ("b",), ("z",)),
+               GateInstance(NOT, ("a",), ("x",))],
+        primary_outputs=["y", "z"],
+        name="nots",
+    )
+
+
+class TestOneInputGates:
+    # NOT's truth table is 0 -> 1, 1 -> 0, so x = 1 ^ a, y = a and z = 1 ^ b.
+    CASES = list(product((0, 1), repeat=2))
+
+    @staticmethod
+    def expected(a, b):
+        return {"a": a, "b": b, "x": 1 ^ a, "y": a, "z": 1 ^ b}
+
+    def test_simulate_and_simulate_inverse(self):
+        netlist = not_chain()
+        for a, b in self.CASES:
+            assert netlist.simulate({"a": a, "b": b}) == self.expected(a, b)
+            assert netlist.simulate_inverse({"y": a, "z": 1 ^ b}) == {"a": a, "b": b}
+
+    @pytest.mark.parametrize("outputs_only", [False, True])
+    def test_forward_rows_both_ways(self, outputs_only):
+        plan = not_chain()._plan
+        columns = [list(col) for col in zip(*self.CASES)]
+        slots = plan.forward_rows(columns, tuple(plan.output_slots) if outputs_only else None)
+        for w in plan.outputs if outputs_only else plan.wires:
+            assert list(slots[plan.slot[w]]) == [self.expected(*case)[w] for case in self.CASES]
+        back = plan.backwards
+        recovered = back.forward_rows([list(slots[s]) for s in plan.output_slots])
+        assert [list(recovered[s]) for s in back.output_slots] == columns
+
+    def test_exhaustive_reversibility(self):
+        report = check_reversibility(not_chain(), mode="exhaustive")
+        assert report == ReversibilityReport("exhaustive", 4, True)
 
 
 # -- random netlists against a reference interpreter --------------------
