@@ -3,8 +3,9 @@
 A gate maps n input bits to m output bits through an enumerated table
 built once from its defining boolean equations, so all downstream
 checks (inversion, conservativity, one-through detection) are
-table-driven rather than formula-driven. A reversible gate is a
-bijection, so m = n; a lossy gate erases what its table merges.
+table-driven rather than formula-driven. Every gate has at least one
+input and at least one output. A reversible gate is a bijection, so
+m = n; a lossy gate erases what its table merges.
 
 The standard library of this package, all reversible:
 
@@ -46,7 +47,8 @@ class GateKind:
     """A named gate defined by an explicit truth table.
 
     The table must be total (one entry per input pattern of width
-    `arity`), and its values all have one width, `n_out`. Bijectivity
+    `arity`), and its values all have one width, `n_out`, of at least
+    one bit, so every gate reads and writes at least one wire. Bijectivity
     is a property of the supplied table: a gate whose table is not a
     bijection (a non-injective table, or one with n_out != arity) can
     be constructed, evaluated and inspected (see :func:`verify_gate`)
@@ -66,6 +68,8 @@ class GateKind:
                 f"expected {expected}"
             )
         self.n_out = n_out = len(next(iter(table.values())))
+        if not n_out:
+            raise ValueError(f"{name}: gate outputs must be at least 1 bit wide")
         patterns = set(product((0, 1), repeat=arity))
         for key, value in table.items():
             if len(key) != arity or len(value) != n_out:

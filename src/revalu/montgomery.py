@@ -41,9 +41,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .arith import _bus, _copy, _full_adder, build_cpa
-# to_bits is unused here but stays: perfbench's selftest reads it and
-# build_cpa at this binding site to check that the tracer restores both.
-from .bits import _BIT_VALUES, _require_int, from_bits, to_bits  # noqa: F401
+from .bits import _BIT_VALUES, _require_int, from_bits, to_bits
 from .gates import TOFFOLI
 from .netlist import CostReport, GateInstance, Netlist, _require_bits
 from .sequential import Register, ShiftRegister, _load, _pulse
@@ -148,6 +146,7 @@ def mont_mult_word(x: int, y: int, params: MontParams) -> int:
     ym = y + m
     m_even = not m & 1
     t = 0
+    # x's bits as `to_bits` gives them, without its checks, which cost 1-2% of `mont_exp`.
     for xi in format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]:
         if xi:
             if (t & 1) != y0:
@@ -177,7 +176,7 @@ def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
     m = params.modulus
     s = c = 0
     cycles = []
-    for i, xi in enumerate(format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]):
+    for i, xi in enumerate(to_bits(x, params.n)):
         s1, c1 = _csa(s, c, y if xi else 0)
         c1 <<= 1
         s2, c = _csa(s1, c1, m if s1 & 1 else 0)

@@ -63,6 +63,9 @@ Bits = tuple[int, ...]
 #: ran about 40% slower and more than doubled the peak traced memory.
 _BLOCK_BITS = 8
 
+#: The most source bits that `check_reversibility`'s auto mode checks exhaustively.
+_AUTO_EXHAUSTIVE_BITS = 12
+
 
 class NetlistError(ValueError):
     """Raised when an operation is attempted on an invalid netlist."""
@@ -375,11 +378,11 @@ def _require_bits(bits: list, named: Iterable[tuple[str, int]], what: str, exact
 
 
 def _gather(slots: Sequence[int]):
-    """Callable that picks `slots` out of a bit list as a tuple."""
+    """Callable that picks `slots`, at least one, out of a bit list as a tuple."""
     if len(slots) == 1:
         (slot,) = slots
         return lambda bits: (bits[slot],)
-    return itemgetter(*slots) if slots else lambda bits: ()
+    return itemgetter(*slots)
 
 
 class _Inverted:
@@ -484,7 +487,7 @@ class _Plan:
         straight to the gates that read them, and its slots in the
         result hold no column.
         """
-        if not columns or not all(columns):  # any empty column empties the batch
+        if not all(columns):  # any empty column empties the batch
             return [()] * len(self.wires)
         cols = [*columns, *self._pad]
         for kind, gather, lo, hi, handoffs in self._batch_program(read):
@@ -512,7 +515,6 @@ class ReversibilityReport(NamedTuple):
 
 def check_reversibility(
     netlist: Netlist,
-    exhaustive_limit: int = 12,
     samples: int = 1000,
     seed: int = 0,
     mode: str = "auto",
@@ -520,8 +522,11 @@ def check_reversibility(
     """Verify that the netlist is a bijection from inputs to outputs.
 
     Treats constant wires as free inputs so the full source tuple is
-    exercised. Exhaustive when the source bit count is small enough (or
-    forced), sampled otherwise. Every source vector is run forwards,
+    exercised. `mode` "exhaustive" runs every source vector and
+    "random" runs `samples` vectors drawn with `seed`; "auto" is
+    exhaustive at up to 12 source bits and random above. A netlist
+    without sources takes the same path: it has no gates, and each block
+    of its cases holds no columns. Every source vector is run forwards,
     its classified outputs are run backwards, and the recovered sources
     are compared with the originals. A gate that is not bijective
     refuses to invert, so a netlist with one raises `ValueError` naming
@@ -545,18 +550,11 @@ def check_reversibility(
     n_bits = len(plan.sources)
     if mode not in ("auto", "exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    exhaustive = mode == "exhaustive" or (mode == "auto" and n_bits <= exhaustive_limit)
+    exhaustive = mode == "exhaustive" or (mode == "auto" and n_bits <= _AUTO_EXHAUSTIVE_BITS)
     if exhaustive and n_bits > 24:
         raise ValueError(f"{n_bits} source bits is too many for exhaustive checking")
     if not exhaustive and _require_int("samples", samples) < 1:
         raise ValueError(f"random mode needs samples >= 1, got {samples}")
-    cases = 1 << n_bits if exhaustive else samples
-    mode_name = "exhaustive" if exhaustive else "random"
-    if not n_bits:
-        # Every case is the empty vector, which columns cannot carry; a
-        # netlist without sources has no gates and maps () to ().
-        return ReversibilityReport(mode=mode_name, cases=cases, ok=True)
-
     if exhaustive:
         blocks = _exhaustive_blocks(n_bits)
     else:
@@ -580,8 +578,8 @@ def check_reversibility(
             break
 
     return ReversibilityReport(
-        mode=mode_name,
-        cases=cases,
+        mode="exhaustive" if exhaustive else "random",
+        cases=1 << n_bits if exhaustive else samples,
         ok=not failures,
         failures=tuple(failures),
     )

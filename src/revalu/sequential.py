@@ -82,8 +82,10 @@ class ClockedCircuit:
     subclasses supply the wiring: how many latches, which of them are
     observable, and which ranks `step` clocks with what data.
     Instances carry mutable state; drive each instance from a single
-    stepper. `step` consumes one input map and returns the observable
-    outputs for that time step.
+    stepper. Each subclass defines `step`, which consumes one input map
+    and returns the observable outputs for that time step, and
+    `load_value`, which forces the stored contents (models a
+    parallel-load/reset rail).
     """
 
     name = ""
@@ -120,9 +122,6 @@ class ClockedCircuit:
     def garbage_bits_emitted(self) -> int:
         return self._latch_steps * len(LATCH_CORE.garbage_outputs)
 
-    def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
-        raise NotImplementedError
-
     def _read(self, inputs: Mapping[str, int]) -> list[int]:
         """The bits of `self._inputs`, in order, read before any latch moves.
 
@@ -141,10 +140,6 @@ class ClockedCircuit:
                 f"{self.name}; expected {', '.join(map(repr, self._inputs))}"
             )
         return bits
-
-    def load_value(self, value: int) -> None:
-        """Force the stored contents (models a parallel-load/reset rail)."""
-        raise NotImplementedError
 
     def cost_report(self) -> CostReport:
         """The latch core's cost summed over the latches, field by field."""

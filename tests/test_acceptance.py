@@ -167,9 +167,7 @@ def test_criterion_4_reversibility_round_trip():
             build_csa52(3),
         ]
         for netlist in generated:
-            report = check_reversibility(
-                netlist, exhaustive_limit=10, samples=1000, seed=4
-            )
+            report = check_reversibility(netlist, samples=1000, seed=4)
             assert report.ok, f"{netlist.name}: {report.failures}"
 
 

@@ -214,6 +214,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="entries"):
             GateKind("PART", 2, {(0, 0): (0, 0)})
 
+    def test_table_without_outputs_refused(self):
+        # A gate with no outputs would compile to a backwards step that reads no slot.
+        with pytest.raises(ValueError) as excinfo:
+            GateKind("SINK", 1, {(0,): (), (1,): ()})
+        assert str(excinfo.value) == "SINK: gate outputs must be at least 1 bit wide"
+        with pytest.raises(ValueError, match="^SINK: "):
+            GateKind.from_function("SINK", 2, lambda a, b: ())
+
     def test_standard_gate_names(self):
         assert set(STANDARD_GATES) == {"FG", "TG", "FRG", "TSG"}
 

@@ -288,6 +288,17 @@ class TestReversibilityCheck:
         report = check_reversibility(build_full_adder(), samples=0)
         assert report.mode == "exhaustive" and report.ok and report.cases == 16
 
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [("auto", ("exhaustive", 1, True)), ("exhaustive", ("exhaustive", 1, True)),
+         ("random", ("random", 7, True))],
+    )
+    def test_sourceless_netlist(self, mode, expected):
+        # Its one case is the empty vector, which maps to the empty vector.
+        report = check_reversibility(Netlist(), mode=mode, samples=7)
+        assert (report.mode, report.cases, report.ok) == expected
+        assert report.failures == ()
+
 
 class LyingGate(GateKind):
     """Identity gate whose `invert` flips bit 0 when its last `lie_bits` outputs are 1."""
@@ -884,6 +895,13 @@ def test_forward_rows_batch_is_empty_when_any_column_is(netlist):
         for read in (None, (), tuple(plan.output_slots)):
             slots = plan.forward_rows(columns, read)
             assert [tuple(col) for col in slots] == [()] * len(plan.wires)
+
+
+def test_forward_rows_of_a_sourceless_plan_is_empty():
+    plan = Netlist()._plan
+    for runner in (plan, plan.backwards):
+        assert runner.forward_rows([]) == []
+        assert runner.forward_rows([], ()) == []
 
 
 def test_forward_rows_runs_each_gate_once_per_row_whatever_is_read(monkeypatch):
