@@ -22,11 +22,14 @@ clock through these helpers; the datapath's cycle is one `_load` and
 one `_pulse`, five core calls. The element classes differ only in wiring.
 
 A latch step is two gate evaluations, each one `GateKind.apply` call
-made by the core's batch runner. perfbench's traced phase and
-`test_gate_evaluations_and_garbage_per_run` count those calls, and
-`test_five_latch_core_calls_per_cycle` the core calls, so a kernel that
-steps several latches per call, or binds `apply` ahead of time, fails
-them until ROADMAP items 1 and 2 land.
+made by the core's batch runner, one call per latch from a list
+comprehension. From CPython 3.11 on that costs about a quarter less per
+call than C `map` (82 -> 61 ns on 3.11.7; the `netlist` module docstring
+has the figures per version), so it should not go back to `map`.
+perfbench's traced phase and `test_gate_evaluations_and_garbage_per_run`
+count those calls, and `test_five_latch_core_calls_per_cycle` the core
+calls, so a kernel that steps several latches per call, or binds `apply`
+when the core is compiled, fails them until ROADMAP items 1 and 2 land.
 
 Each latch discards two bits per step (the enable pass-through and the
 Fredkin swap residue); the running total is tracked per element because

@@ -27,7 +27,7 @@ from revalu import (
     parse_rnl,
     serialize_rnl,
 )
-from revalu.netlist import ReversibilityReport, ValidationReport, Violation
+from revalu.netlist import ReversibilityReport, ValidationReport, Violation, _random_blocks
 from revalu.sequential import LATCH_CORE
 
 
@@ -920,3 +920,40 @@ def test_forward_rows_runs_each_gate_once_per_row_whatever_is_read(monkeypatch):
         calls.clear()
         plan.forward_rows(columns, read)
         assert len(calls) == 3 * len(netlist.gates)
+
+
+@pytest.mark.parametrize("netlist", [build_csa42(2), LATCH_CORE], ids=lambda n: n.name)
+def test_batch_runner_looks_apply_up_when_it_runs(monkeypatch, netlist):
+    # Every batch program is compiled before the patch, so a runner that
+    # bound `apply` or `invert` when compiling would miss the patched methods.
+    plan = netlist._plan
+    runs = [(runner, read) for runner in (plan, plan.backwards)
+            for read in (None, (), tuple(runner.output_slots))]
+    columns = [[0, 1, 1, 0]] * len(plan.sources)
+    for runner, read in runs:
+        runner.forward_rows(columns, read)
+    calls = {"apply": [], "invert": []}
+    for name, calls_of in calls.items():
+        real = getattr(GateKind, name)
+
+        def counted(self, bits, real=real, calls_of=calls_of):
+            calls_of.append(self)
+            return real(self, bits)
+
+        monkeypatch.setattr(GateKind, name, counted)
+    for runner, read in runs:
+        for calls_of in calls.values():
+            calls_of.clear()
+        runner.forward_rows(columns, read)
+        used, unused = ("apply", "invert") if runner is plan else ("invert", "apply")
+        assert len(calls[used]) == 4 * len(netlist.gates)
+        assert calls[unused] == []
+
+
+@pytest.mark.parametrize("n_bits, samples, seed", [(5, 1, 0), (3, 256, 7), (9, 300, 2), (1, 300, 11)])
+def test_random_blocks_draw_as_per_bit_randint(n_bits, samples, seed):
+    rng, reference = random.Random(seed), random.Random(seed)
+    blocks = list(_random_blocks(n_bits, samples, rng))
+    rows = [tuple(reference.randint(0, 1) for _ in range(n_bits)) for _ in range(samples)]
+    assert blocks == [list(zip(*rows[start:start + 256])) for start in range(0, samples, 256)]
+    assert rng.random() == reference.random()  # the same number of draws
