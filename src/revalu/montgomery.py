@@ -25,9 +25,10 @@ consumed bit-serially out of its own shift register. The closing
 carry-propagate addition P = S + C runs on a gate-level ripple adder;
 the final conditional subtraction is performed at word level.
 
-Each datapath builds, validates and compiles its own two stages and
-final adder when it is constructed, and runs them on register bits
-straight through their plans. Register contents stay bit lists from
+The two stages and the final adder depend only on the width, so the
+datapaths of one width share one built, validated and compiled set
+(`_shape`), immutable like `LATCH_CORE`, and run it on register bits
+straight through its plans. Register contents stay bit lists from
 cycle to cycle; they become ints only for the cycle records, which
 `_record` builds for both loops. `MontTrace` and `MontRun` are ``typing.NamedTuple``s;
 `MontParams` stays a frozen dataclass because it validates, and `CycleRecord`
@@ -37,6 +38,7 @@ because callers use it with ``dataclasses.asdict`` and ``replace``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -331,6 +333,19 @@ def _runner(netlist: Netlist, *words: Sequence[str]):
     return run
 
 
+_SHAPES = 8  # widths whose cores `_shape` keeps built, least recently used out first
+
+
+@lru_cache(maxsize=_SHAPES)
+def _shape(w: int, n: int) -> tuple:
+    """Both CSA stages, the final adder and their runners, for register width w."""
+    stages = (_csa_stage(w, n, bus="y", tap_lsb=False, name="csa_stage1"),
+              _csa_stage(w, n, bus="m", tap_lsb=True, name="csa_stage2"))
+    runs = [_runner(s, s.primary_outputs[:w], s.primary_outputs[w:]) for s in stages]
+    final_adder = build_cpa(w)
+    return (*stages, final_adder, *runs, _runner(final_adder, final_adder.primary_outputs))
+
+
 class MontRun(NamedTuple):
     """Record of one datapath execution, snapshots included.
 
@@ -365,25 +380,19 @@ class MontDatapath:
     """Bit-serial Montgomery multiplier assembled from reversible parts.
 
     The clocked parts, `s_shift` to `m_reg`, are attributes built from
-    `_CLOCKED_PARTS`. Single-stepper: one run at a time per instance.
+    `_CLOCKED_PARTS`. Its cores `stage1`, `stage2` and `final_adder` are
+    shared by every datapath of its width: treat them as immutable, like
+    `LATCH_CORE`. Single-stepper: one run at a time per instance.
     The most recent run record is kept on `last_run`.
     """
 
     def __init__(self, params: MontParams):
         self.params = params
-        w = params.register_width
-        n = params.n
-        self.stage1 = _csa_stage(w, n, bus="y", tap_lsb=False, name="csa_stage1")
-        self.stage2 = _csa_stage(w, n, bus="m", tap_lsb=True, name="csa_stage2")
-        self._run1, self._run2 = (
-            _runner(stage, stage.primary_outputs[:w], stage.primary_outputs[w:])
-            for stage in (self.stage1, self.stage2)
-        )
+        (self.stage1, self.stage2, self.final_adder,
+         self._run1, self._run2, self._add) = _shape(params.register_width, params.n)
         self._parts = tuple(kind(getattr(params, width)) for _, kind, width in _CLOCKED_PARTS)
         for (name, _, _), part in zip(_CLOCKED_PARTS, self._parts):
             setattr(self, name, part)
-        self.final_adder = build_cpa(w)
-        self._add = _runner(self.final_adder, self.final_adder.primary_outputs)  # s0.., cout
         self.m_reg.load_value(params.modulus)
         self.last_run: MontRun | None = None
 

@@ -322,6 +322,39 @@ class TestDatapathsOfOneWidth:
         assert first.garbage_bits_emitted == per_run
         assert second.garbage_bits_emitted == 2 * per_run
 
+    def test_cores_are_shared_within_a_width_only(self):
+        first, second = (MontDatapath(MontParams(m, 16)) for m in (0xB00B, 0xC5A7))
+        other = MontDatapath(MontParams(0xB00B, 17))
+        for name in ("stage1", "stage2", "final_adder"):
+            assert getattr(first, name) is getattr(second, name)
+            assert getattr(first, name) is not getattr(other, name)
+
+    def test_runs_leave_the_other_datapath_of_the_width_alone(self):
+        datapaths = [MontDatapath(MontParams(m, 16)) for m in (0xB00B, 0xC5A7)]
+        rng = random.Random(23)
+        for _ in range(4):
+            for datapath, bystander in (datapaths, datapaths[::-1]):
+                params = datapath.params
+                record, garbage = bystander.last_run, bystander.garbage_bits_emitted
+                x, y = rng.randrange(params.modulus), rng.randrange(params.modulus)
+                assert datapath.run(x, y) == mont_mult_word(x, y, params)
+                assert datapath.last_run.cycles == mont_mult_trace(x, y, params).cycles
+                assert bystander.last_run is record
+                assert bystander.garbage_bits_emitted == garbage
+
+    def test_shape_cache_stays_bounded_and_rebuilds_alike(self):
+        params = MontParams(5, 3)
+        first = MontDatapath(params)
+        for n in range(4, 5 + mg._SHAPES):
+            MontDatapath(MontParams(5, n))
+            assert mg._shape.cache_info().currsize <= mg._SHAPES
+        rebuilt = MontDatapath(params)
+        assert rebuilt.stage1 is not first.stage1
+        for x in range(5):
+            for y in range(5):
+                assert rebuilt.run(x, y) == first.run(x, y) == mont_mult_word(x, y, params)
+                assert rebuilt.last_run.cycles == first.last_run.cycles
+
     def test_stages_equal_fresh_builds_after_a_run(self):
         params = MontParams(0xB00B, 16)
         datapath = MontDatapath(params)
@@ -496,6 +529,15 @@ class TestDatapathWork:
 
 
 class TestDatapathConstruction:
+    @pytest.fixture(autouse=True)
+    def no_shapes_built(self):
+        # Datapaths of one width share their cores, built once by
+        # `mg._shape`; these tests watch the building, so each starts
+        # with none built and leaves none it built behind.
+        mg._shape.cache_clear()
+        yield
+        mg._shape.cache_clear()
+
     def test_every_datapath_netlist_is_validated_when_built(self, monkeypatch):
         validated = []
         real = Netlist.validate
