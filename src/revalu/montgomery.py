@@ -27,7 +27,8 @@ the final conditional subtraction is performed at word level.
 
 The two stages and the final adder depend only on the width, so the
 datapaths of one width share one built, validated and compiled set
-(`_shape`), immutable like `LATCH_CORE`, and run it on register bits
+(`_shape`), immutable like `LATCH_CORE`; each datapath checks the set's
+validation reports when it is built, and runs it on register bits
 straight through its plans. Register contents stay bit lists from
 cycle to cycle; they become ints only for the cycle records, which
 `_record` builds for both loops. `MontTrace` and `MontRun` are ``typing.NamedTuple``s;
@@ -333,10 +334,7 @@ def _runner(netlist: Netlist, *words: Sequence[str]):
     return run
 
 
-_SHAPES = 8  # widths whose cores `_shape` keeps built, least recently used out first
-
-
-@lru_cache(maxsize=_SHAPES)
+@lru_cache(maxsize=1)  # every command and benchmark workload builds one width
 def _shape(w: int, n: int) -> tuple:
     """Both CSA stages, the final adder and their runners, for register width w."""
     stages = (_csa_stage(w, n, bus="y", tap_lsb=False, name="csa_stage1"),
@@ -388,8 +386,10 @@ class MontDatapath:
 
     def __init__(self, params: MontParams):
         self.params = params
-        (self.stage1, self.stage2, self.final_adder,
-         self._run1, self._run2, self._add) = _shape(params.register_width, params.n)
+        shape = _shape(params.register_width, params.n)
+        (self.stage1, self.stage2, self.final_adder, self._run1, self._run2, self._add) = shape
+        for core in shape[:3]:
+            core._require_valid()  # the report is cached once the width is built
         self._parts = tuple(kind(getattr(params, width)) for _, kind, width in _CLOCKED_PARTS)
         for (name, _, _), part in zip(_CLOCKED_PARTS, self._parts):
             setattr(self, name, part)

@@ -345,9 +345,10 @@ class TestDatapathsOfOneWidth:
     def test_shape_cache_stays_bounded_and_rebuilds_alike(self):
         params = MontParams(5, 3)
         first = MontDatapath(params)
-        for n in range(4, 5 + mg._SHAPES):
+        bound = mg._shape.cache_info().maxsize
+        for n in range(4, 5 + bound):
             MontDatapath(MontParams(5, n))
-            assert mg._shape.cache_info().currsize <= mg._SHAPES
+            assert mg._shape.cache_info().currsize <= bound
         rebuilt = MontDatapath(params)
         assert rebuilt.stage1 is not first.stage1
         for x in range(5):
@@ -529,15 +530,6 @@ class TestDatapathWork:
 
 
 class TestDatapathConstruction:
-    @pytest.fixture(autouse=True)
-    def no_shapes_built(self):
-        # Datapaths of one width share their cores, built once by
-        # `mg._shape`; these tests watch the building, so each starts
-        # with none built and leaves none it built behind.
-        mg._shape.cache_clear()
-        yield
-        mg._shape.cache_clear()
-
     def test_every_datapath_netlist_is_validated_when_built(self, monkeypatch):
         validated = []
         real = Netlist.validate
@@ -549,6 +541,16 @@ class TestDatapathConstruction:
         monkeypatch.setattr(Netlist, "validate", recording)
         datapath = MontDatapath(MontParams(7, 3))
         for netlist in (datapath.stage1, datapath.stage2, datapath.final_adder):
+            assert any(v is netlist for v in validated), netlist.name
+
+    def test_a_datapath_of_a_built_width_still_checks_its_cores(self, monkeypatch):
+        first = MontDatapath(MontParams(7, 3))
+        validated = []
+        real = Netlist.validate
+        monkeypatch.setattr(Netlist, "validate", lambda self: validated.append(self) or real(self))
+        second = MontDatapath(MontParams(5, 3))
+        assert second.stage1 is first.stage1
+        for netlist in (second.stage1, second.stage2, second.final_adder):
             assert any(v is netlist for v in validated), netlist.name
 
     def test_stage_with_planted_fan_out_is_refused(self, monkeypatch):
@@ -568,6 +570,9 @@ class TestDatapathConstruction:
                            stage.primary_outputs, stage.garbage_outputs, stage.name)
 
         monkeypatch.setattr(mg, "_csa_stage", planted)
+        # Datapaths of one width share cores that `mg._shape` builds once;
+        # empty it so that this width's stages are built, the planted one too.
+        mg._shape.cache_clear()
         with pytest.raises(NetlistError) as info:
             MontDatapath(MontParams(7, 3))
         assert str(info.value) == (
