@@ -10,13 +10,13 @@ maps its input-plus-constant vector bijectively onto its
 output-plus-garbage vector, and can be simulated both forwards and
 backwards; one with a lossy gate runs forwards only.
 
-Validation is one pass over the gates: it collects every driver and
-sink, finds violations with counts and set operations, and names the
-drivers or sinks only of a wire that breaks a rule. The gate list is
-kept as the topological order when it already is one, as it is for
+Validation is one pass over the netlist that labels every driver and
+sink of every wire, building each gate's `gate i (KIND)` label once;
+each rule then reads its violations from those labels. The gate list
+is kept as the topological order when it already is one, as it is for
 every generated netlist; otherwise `graphlib` orders it, taking ready
-gates in index order, or finds the cycle. The order and the plan are
-cached properties of the netlist, each computed on first use.
+gates in index order, or finds the cycle. The validation report, the
+order and the plan are cached properties, each computed on first use.
 
 Evaluation runs a plan compiled once per validated netlist: every wire
 gets a slot in a flat list of bits, and each gate reads and writes
@@ -55,7 +55,6 @@ The four reports are ``typing.NamedTuple``s, cheap to define at import;
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -162,93 +161,64 @@ class Netlist:
         self.name = name
         for wire, value in self.constants.items():
             _require_bit(f"constant {wire}", value)
-        self._validation: ValidationReport | None = None
 
     # -- structure ---------------------------------------------------
 
     @property
     def wires(self) -> tuple[str, ...]:
-        """All wire names, in driver-then-usage order, deduplicated."""
+        """All wire names, deduplicated, in order of first appearance: inputs,
+        constants, each gate's inputs then outputs, primary outputs, then garbage."""
         gate_wires = chain.from_iterable([(*g.inputs, *g.outputs) for g in self.gates])
         return tuple(dict.fromkeys(chain(self.primary_inputs, self.constants, gate_wires,
                                          self.primary_outputs, self.garbage_outputs)))
 
-    def _labels(self, counts: Mapping[str, int], drivers: bool) -> dict[str, list[str]]:
-        """Driver (or sink) labels of each wire counted more than once, in list order.
-
-        Built only for wires that break a rule, to describe them.
-        """
-        labels: dict[str, list[str]] = {w: [] for w, k in counts.items() if k > 1}
-        if not labels:
-            return labels
-
-        def note(ends: Iterable[str], label: str) -> None:
-            for w in ends:
-                if w in labels:
-                    labels[w].append(label)
-
-        if drivers:
-            note(self.primary_inputs, "input")
-            note(self.constants, "const")
-        for i, g in enumerate(self.gates):
-            ends = g.outputs if drivers else g.inputs
-            if not labels.keys().isdisjoint(ends):
-                note(ends, f"gate {i} ({g.kind.name})")
-        if not drivers:
-            note(self.primary_outputs, "output")
-            note(self.garbage_outputs, "garbage")
-        return labels
-
     def validate(self) -> ValidationReport:
-        """Check the wiring discipline and report every violation found.
+        """Check the wiring discipline and report every violation found, once per netlist.
 
-        Violation kinds: ``multiply-driven``, ``undriven``, ``fan-out``,
-        ``unclassified-output``, ``dangling-input``, ``cycle``.
-
-        One pass over the gates collects every driver and every sink;
-        counts and set operations then find the violations, and only a
-        wire that breaks a rule gets its drivers or sinks named.
+        Violation kinds, in report order: ``multiply-driven``, ``undriven``,
+        ``fan-out``, ``unclassified-output``, ``dangling-input``, ``cycle``.
         """
-        if self._validation is not None:
-            return self._validation
-        gate_outputs = [*chain.from_iterable([g.outputs for g in self.gates])]
-        driven = (*self.primary_inputs, *self.constants, *gate_outputs)
-        sunk = (*chain.from_iterable([g.inputs for g in self.gates]),
-                *self.primary_outputs, *self.garbage_outputs)
-        drivers, sinks = dict.fromkeys(driven), dict.fromkeys(sunk)  # in first-use order
-        driver_count = Counter(driven) if len(drivers) < len(driven) else {}
-        sink_count = Counter(sunk) if len(sinks) < len(sunk) else {}
+        return self._validation
 
-        violations = [
-            Violation("multiply-driven", f"wire {wire} driven by {', '.join(who)}")
-            for wire, who in self._labels(driver_count, drivers=True).items()
-        ]
-        if not drivers.keys() >= sinks.keys():
-            violations += [Violation("undriven", f"wire {wire} has no driver")
-                           for wire in sinks if wire not in drivers]
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        """`validate`'s report, read from one pass that labels every driver and sink."""
+        # Labels per wire, wires in first-use order: the report does not depend on hashing.
+        drivers: dict[str, list[str]] = {}
+        sinks: dict[str, list[str]] = {}
+
+        def note(labels: dict[str, list[str]], ends: Iterable[str], label: str) -> None:
+            for w in ends:
+                labels.setdefault(w, []).append(label)
+        note(drivers, self.primary_inputs, "input")
+        note(drivers, self.constants, "const")
+        for i, g in enumerate(self.gates):
+            label = f"gate {i} ({g.kind.name})"
+            note(sinks, g.inputs, label)
+            note(drivers, g.outputs, label)
+        note(sinks, self.primary_outputs, "output")
+        note(sinks, self.garbage_outputs, "garbage")
+
+        violations = [Violation("multiply-driven", f"wire {w} driven by {', '.join(who)}")
+                      for w, who in drivers.items() if len(who) > 1]
+        violations += [Violation("undriven", f"wire {w} has no driver")
+                       for w in sinks if w not in drivers]
+        violations += [Violation("fan-out", f"wire {w} feeds {len(who)} sinks: {', '.join(who)}")
+                       for w, who in sinks.items() if len(who) > 1]
         violations += [
-            Violation("fan-out", f"wire {wire} feeds {len(who)} sinks: {', '.join(who)}")
-            for wire, who in self._labels(sink_count, drivers=False).items()
+            Violation("unclassified-output", f"gate output {w} is neither consumed nor classified")
+            for w in dict.fromkeys(chain.from_iterable([g.outputs for g in self.gates]))
+            if w not in sinks
         ]
-        unsunk = drivers.keys() - sinks.keys()
-        if unsunk:
-            # In gate order, each wire once, so the report does not depend on hashing.
-            violations += [
-                Violation("unclassified-output",
-                          f"gate output {wire} is neither consumed nor classified")
-                for wire in dict.fromkeys(gate_outputs) if wire in unsunk
-            ]
-            violations += [
-                Violation("dangling-input",
-                          f"input {wire} is neither consumed nor classified as an output")
-                for wire in (*self.primary_inputs, *self.constants)
-                if wire in unsunk and driver_count.get(wire, 1) == 1
-            ]
+        violations += [
+            Violation("dangling-input",
+                      f"input {w} is neither consumed nor classified as an output")
+            for w in (*self.primary_inputs, *self.constants)
+            if w not in sinks and len(drivers[w]) == 1
+        ]
         if self._toposort is None:
             violations.append(Violation("cycle", "gate dependencies contain a cycle"))
-
-        self._validation = ValidationReport(tuple(violations))
-        return self._validation
+        return ValidationReport(tuple(violations))
 
     @cached_property
     def _toposort(self) -> tuple[int, ...] | None:

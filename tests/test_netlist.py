@@ -14,19 +14,24 @@ from revalu import (
     FEYNMAN,
     FREDKIN,
     NOT,
+    OR,
     TOFFOLI,
     TSG,
+    XOR,
     GateInstance,
     GateKind,
     Netlist,
     NetlistError,
     build_cpa,
     build_csa42,
+    build_csa52,
     build_full_adder,
+    build_irreversible_cpa,
     check_reversibility,
     parse_rnl,
     serialize_rnl,
 )
+from revalu.montgomery import _csa_stage
 from revalu.netlist import ReversibilityReport, ValidationReport, Violation, _random_blocks
 from revalu.sequential import LATCH_CORE
 
@@ -763,9 +768,9 @@ def tangled_netlists(draw):
     names = st.sampled_from([f"w{k}" for k in range(7)])
     gates = []
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from([FEYNMAN, TOFFOLI, FREDKIN, TSG]))
+        kind = draw(st.sampled_from([FEYNMAN, TOFFOLI, FREDKIN, TSG, AND, OR, XOR, NOT]))
         ins = draw(st.lists(names, min_size=kind.arity, max_size=kind.arity))
-        outs = draw(st.lists(names, min_size=kind.arity, max_size=kind.arity))
+        outs = draw(st.lists(names, min_size=kind.n_out, max_size=kind.n_out))
         gates.append(GateInstance(kind, ins, outs))
     return Netlist(
         primary_inputs=draw(st.lists(names, max_size=4)),
@@ -813,6 +818,87 @@ def test_one_pass_validation_matches_reference(netlist):
         assert str(info.value) == (
             f"netlist tangled is invalid ({len(report.violations)} violations): {summary}"
         )
+
+
+def rebuilt(netlist: Netlist, **changes) -> Netlist:
+    """A copy of `netlist` with some of its constructor arguments replaced."""
+    fields = dict(primary_inputs=netlist.primary_inputs, constants=netlist.constants,
+                  gates=netlist.gates, primary_outputs=netlist.primary_outputs,
+                  garbage_outputs=netlist.garbage_outputs, name=netlist.name)
+    return Netlist(**{**fields, **changes})
+
+
+def rewired(netlist: Netlist, i: int, old: str, new: str) -> Netlist:
+    """`netlist` with gate i reading wire `new` where it read `old`."""
+    gates = list(netlist.gates)
+    g = gates[i]
+    gates[i] = GateInstance(g.kind, [new if w == old else w for w in g.inputs], g.outputs)
+    return rebuilt(netlist, gates=gates)
+
+
+def fan_out_fault(netlist: Netlist) -> Netlist:
+    """The first gate reading a primary input reads one a later gate already reads."""
+    inputs = set(netlist.primary_inputs)
+    i, lost = next((i, w) for i, g in enumerate(netlist.gates) for w in g.inputs if w in inputs)
+    shared = next(w for g in netlist.gates[i + 1:] for w in g.inputs
+                  if w in inputs and w not in netlist.gates[i].inputs)
+    return rewired(netlist, i, lost, shared)
+
+
+def unclassified_fault(netlist: Netlist) -> Netlist:
+    """The last garbage output dropped (the last primary output, if there is no garbage)."""
+    if netlist.garbage_outputs:
+        return rebuilt(netlist, garbage_outputs=netlist.garbage_outputs[:-1])
+    return rebuilt(netlist, primary_outputs=netlist.primary_outputs[:-1])
+
+
+def multiply_driven_fault(netlist: Netlist) -> Netlist:
+    """The first primary input also declared as a constant."""
+    return rebuilt(netlist, constants={**netlist.constants, netlist.primary_inputs[0]: 0})
+
+
+def cycle_fault(netlist: Netlist) -> Netlist:
+    """The first gate reads an output of the last gate that depends on it."""
+    gates = netlist.gates
+    reached, last = set(gates[0].outputs), 0
+    for k, g in enumerate(gates[1:], 1):
+        if not reached.isdisjoint(g.inputs):
+            reached.update(g.outputs)
+            last = k
+    return rewired(netlist, 0, gates[0].inputs[0], gates[last].outputs[0])
+
+
+GENERATED = {
+    "cpa8": lambda: build_cpa(8),
+    "csa42_4": lambda: build_csa42(4),
+    "csa52_4": lambda: build_csa52(4),
+    "icpa4": lambda: build_irreversible_cpa(4),
+    "csa_stage1": lambda: _csa_stage(10, 8, bus="y", tap_lsb=False, name="csa_stage1"),
+    "csa_stage2": lambda: _csa_stage(10, 8, bus="m", tap_lsb=True, name="csa_stage2"),
+}
+
+FAULTS = {
+    "fan-out": (fan_out_fault, {"fan-out", "dangling-input"}),
+    "unclassified": (unclassified_fault, {"unclassified-output"}),
+    "multiply-driven": (multiply_driven_fault, {"multiply-driven"}),
+    "cycle": (cycle_fault, {"cycle"}),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("generated", GENERATED)
+def test_planted_fault_at_generated_size_matches_reference(generated, fault):
+    plant, kinds = FAULTS[fault]
+    netlist = plant(GENERATED[generated]())
+    expected = reference_validate(netlist)
+    assert kinds <= {v.kind for v in expected.violations}
+    assert netlist.validate() == expected
+    with pytest.raises(NetlistError) as info:
+        netlist._plan
+    summary = "; ".join(v.detail for v in expected.violations[:3])
+    assert str(info.value) == (
+        f"netlist {netlist.name} is invalid ({len(expected.violations)} violations): {summary}"
+    )
 
 
 def kahn_toposort(netlist: Netlist):
