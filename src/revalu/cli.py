@@ -5,7 +5,7 @@ JSON output is the machine interface (stable key order); text output
 renders the same values. Exit codes: 0 success, 1 domain error, 2
 usage error. A command makes every usage check before it reads a file
 or builds a circuit; only `verify`'s auto mode refuses `--samples` and
-`--seed` after its check, once that check has chosen exhaustive mode.
+`--seed` after validation, once the netlist's source bits make it exhaustive.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 
 from . import arith, energy, sequential
 from .montgomery import MontDatapath, MontParams, mont_exp, mont_mult_trace
-from .netlist import Netlist, check_reversibility
+from .netlist import Netlist, _runs_exhaustively, check_reversibility
 from .rnl import parse_rnl, serialize_rnl
 
 
@@ -166,13 +166,13 @@ def _cmd_verify(args, parser) -> int:
     result = {"validation": validation.as_dict()}
     ok = validation.ok
     if ok:
+        bits = len(netlist.primary_inputs) + len(netlist.constants)
+        if given and _runs_exhaustively(args.mode, bits):
+            parser.error(f"verify --mode auto takes no --{given[0]}: {args.path} has {bits} "
+                         "source bits, so it is checked exhaustively")
         reversibility = check_reversibility(
             netlist, samples=args.samples, seed=args.seed, mode=args.mode
         )
-        if args.mode == "auto" and reversibility.mode == "exhaustive" and given:
-            bits = len(netlist.primary_inputs) + len(netlist.constants)
-            parser.error(f"verify --mode auto takes no --{given[0]}: {args.path} has {bits} "
-                         "source bits, so it is checked exhaustively")
         result["reversibility"] = reversibility.as_dict()
         ok = reversibility.ok
     _emit(result, args.format)

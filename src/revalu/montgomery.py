@@ -26,11 +26,11 @@ carry-propagate addition P = S + C runs on a gate-level ripple adder;
 the final conditional subtraction is performed at word level.
 
 The two stages and the final adder depend only on the width, so the
-datapaths of one width share one built, validated and compiled set
-(`_shape`), immutable like `LATCH_CORE`; each datapath checks the set's
-validation reports when it is built, and runs it on register bits
-straight through its plans. Register contents stay bit lists from
-cycle to cycle; they become ints only for the cycle records, which
+datapaths of one width share one built and validated set, and its
+runners (`_shape`), immutable like `LATCH_CORE`; each datapath checks
+the set's reports when it is built. Each core runs on register bits
+through its `Netlist._runner`; register contents stay bit lists from
+cycle to cycle, and become ints only for the cycle records, which
 `_record` builds for both loops. `MontTrace` and `MontRun` are ``typing.NamedTuple``s;
 `MontParams` stays a frozen dataclass because it validates, and `CycleRecord`
 because callers use it with ``dataclasses.asdict`` and ``replace``.
@@ -40,13 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .arith import _bus, _copy, _full_adder, build_cpa
 from .bits import _BIT_VALUES, _require_int, from_bits, to_bits
 from .gates import TOFFOLI
-from .netlist import CostReport, GateInstance, Netlist, _require_bits
+from .netlist import CostReport, GateInstance, Netlist
 from .sequential import Register, ShiftRegister, _load, _pulse
 
 
@@ -315,33 +314,14 @@ def _csa_stage(width: int, n: int, *, bus: str, tap_lsb: bool, name: str) -> Net
     )
 
 
-def _runner(netlist: Netlist, *words: Sequence[str]):
-    """Runner for a datapath netlist: input bits in, one bit tuple per word out.
-
-    The runner checks the bits it is given (the primary inputs, in
-    order) once, then runs the netlist's plan on them with its constants
-    appended, and picks each word's wires, LSB first, from the result.
-    """
-    plan = netlist._plan
-    consts = list(netlist.constants.values())
-    picks = [itemgetter(*map(plan.slot.__getitem__, word)) for word in words]
-
-    def run(bits: list[int]) -> list[tuple[int, ...]]:
-        _require_bits(bits, zip(plan.sources, bits), "input")
-        out = plan.forward(bits + consts)
-        return [pick(out) for pick in picks]
-
-    return run
-
-
 @lru_cache(maxsize=1)  # every command and benchmark workload builds one width
 def _shape(w: int, n: int) -> tuple:
     """Both CSA stages, the final adder and their runners, for register width w."""
     stages = (_csa_stage(w, n, bus="y", tap_lsb=False, name="csa_stage1"),
               _csa_stage(w, n, bus="m", tap_lsb=True, name="csa_stage2"))
-    runs = [_runner(s, s.primary_outputs[:w], s.primary_outputs[w:]) for s in stages]
+    runs = [s._runner(s.primary_outputs[:w], s.primary_outputs[w:]) for s in stages]
     final_adder = build_cpa(w)
-    return (*stages, final_adder, *runs, _runner(final_adder, final_adder.primary_outputs))
+    return (*stages, final_adder, *runs, final_adder._runner(final_adder.primary_outputs))
 
 
 class MontRun(NamedTuple):

@@ -21,24 +21,26 @@ order and the plan are cached properties, each computed on first use.
 Evaluation runs a plan compiled once per validated netlist: every wire
 gets a slot in a flat list of bits, and each gate reads and writes
 fixed slots in topological order. Backwards is a second plan of the
-same kind, with the gates reversed and `invert` in place of `apply`,
-so one scalar and one batch runner serve both directions. Both walk
-one compiled step list per plan, a kind and a slot gather per gate:
-the scalar `forward` appends each gate's result to the bit list.
-Arguments are checked once per call, at the boundary (`simulate`,
-`simulate_inverse`), not per gate. The batch `forward_rows` hands a
-gate's result rows straight to the gate that reads them and builds
-columns only for the slots its caller reads. `check_reversibility`
-runs blocks of source vectors, held by column, through both plans.
+same kind, with the gates reversed and `invert` in place of `apply`.
+Both walk one compiled step list, a kind and a slot gather per gate:
+the scalar `forward` appends each gate's result to the bit list, and
+the batch `forward_rows` hands a gate's result rows straight to the
+gate that reads them, building columns only for the slots its caller
+reads. Only this module compiles, runs and reads plans. Other modules
+go through `simulate` and `simulate_inverse`, or through a netlist's
+two runners, which check arguments once per call, not per gate:
+`_runner` (bits in, words out: the datapath cores) and `_row_runner`
+(columns in, the columns of some wires out: the latch core).
+`check_reversibility` runs blocks of source vectors through both plans.
 
-Every gate evaluation, in either runner, is one `GateKind.apply` call
+Every gate evaluation, in any runner, is one `GateKind.apply` call
 (`invert` when running backwards), looked up on the kind when the
 runner runs, never bound ahead of time. perfbench's traced phase and
 `test_gate_evaluations_and_garbage_per_run` count these calls against
 the structural count, so a kernel that evaluates several gates or
 latches per call fails them until ROADMAP items 1 and 2 land.
 
-The batch runner binds a gate's `apply` once per call and makes the
+`forward_rows` binds a gate's `apply` once per call and makes the
 per-row calls from a list comprehension, not through C `map`. From
 CPython 3.11 on, a Python function called from bytecode runs inline in
 the caller's interpreter loop, while one called from C `map` enters a
@@ -300,25 +302,43 @@ class Netlist:
     def garbage_values(self, wire_values: Mapping[str, int]) -> dict[str, int]:
         return {w: wire_values[w] for w in self.garbage_outputs}
 
+    def _runner(self, *words: Sequence[str]):
+        """Scalar runner: the primary input bits in, each word's bits out, in wire order."""
+        plan = self._plan
+        consts = [*self.constants.values()]
+        picks = [_gather([*map(plan.slot.__getitem__, word)]) for word in words]
+
+        def run(bits: list[int]) -> list[tuple[int, ...]]:
+            _require_bits(bits, zip(plan.sources, bits), "input")
+            out = plan.forward(bits + consts)
+            return [pick(out) for pick in picks]
+
+        return run
+
+    def _row_runner(self, *wires: str):
+        """Batch runner: one column per primary input in, only the columns of `wires` out."""
+        plan = self._plan
+        read = tuple(map(plan.slot.__getitem__, wires))
+        pick = _gather(read)
+        consts = [*self.constants.values()]
+
+        def run(*columns: Sequence[int]) -> tuple[Sequence[int], ...]:
+            rows = len(columns[0]) if columns else 0  # no shorter than the batch, which zip ends
+            return pick(plan.forward_rows([*columns, *[(c,) * rows for c in consts]], read))
+
+        return run
+
     # -- cost ----------------------------------------------------------
 
     def cost_report(self) -> CostReport:
-        """Gate, garbage, constant, and critical-path counts."""
-        self._require_valid()
-        depth: dict[str, int] = {w: 0 for w in self.primary_inputs}
-        depth.update({w: 0 for w in self.constants})
-        for idx in self._toposort:
-            g = self.gates[idx]
-            d = 1 + max((depth[w] for w in g.inputs), default=0)
-            for w in g.outputs:
-                depth[w] = d
-        unit_delay = max((depth[w] for w in self.primary_outputs), default=0)
-        return CostReport(
-            gate_count=len(self.gates),
-            garbage_count=len(self.garbage_outputs),
-            unit_delay=unit_delay,
-            constant_input_count=len(self.constants),
-        )
+        """Gate, garbage, constant, and critical-path counts; the path is read off the plan."""
+        plan = self._plan
+        depth = [0] * len(plan.wires)  # each source 0, each gate output 1 + its deepest input
+        for _, in_slots, lo, hi in plan._gates:
+            depth[lo:hi] = [1 + max(map(depth.__getitem__, in_slots))] * (hi - lo)
+        primary = map(depth.__getitem__, plan.output_slots[:len(self.primary_outputs)])
+        return CostReport(len(self.gates), len(self.garbage_outputs), max(primary, default=0),
+                          len(self.constants))
 
     def __repr__(self) -> str:
         return (
@@ -532,7 +552,7 @@ def check_reversibility(
     n_bits = len(plan.sources)
     if mode not in ("auto", "exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    exhaustive = mode == "exhaustive" or (mode == "auto" and n_bits <= _AUTO_EXHAUSTIVE_BITS)
+    exhaustive = _runs_exhaustively(mode, n_bits)
     if exhaustive and n_bits > 24:
         raise ValueError(f"{n_bits} source bits is too many for exhaustive checking")
     if not exhaustive and _require_int("samples", samples) < 1:
@@ -565,6 +585,11 @@ def check_reversibility(
         ok=not failures,
         failures=tuple(failures),
     )
+
+
+def _runs_exhaustively(mode: str, n_bits: int) -> bool:
+    """Whether `check_reversibility` in `mode` runs every vector of `n_bits` source bits."""
+    return mode == "exhaustive" or (mode == "auto" and n_bits <= _AUTO_EXHAUSTIVE_BITS)
 
 
 def _exhaustive_blocks(n_bits: int) -> Iterable[list[Bits]]:

@@ -21,15 +21,11 @@ fan-out. The elements' own methods and the Montgomery datapath both
 clock through these helpers; the datapath's cycle is one `_load` and
 one `_pulse`, five core calls. The element classes differ only in wiring.
 
-A latch step is two gate evaluations, each one `GateKind.apply` call
-made by the core's batch runner, one call per latch from a list
-comprehension. From CPython 3.11 on that costs about a quarter less per
-call than C `map` (82 -> 61 ns on 3.11.7; the `netlist` module docstring
-has the figures per version), so it should not go back to `map`.
-perfbench's traced phase and `test_gate_evaluations_and_garbage_per_run`
-count those calls, and `test_five_latch_core_calls_per_cycle` the core
-calls, so a kernel that steps several latches per call, or binds `apply`
-when the core is compiled, fails them until ROADMAP items 1 and 2 land.
+A latch step is two gate evaluations, one `GateKind.apply` call each,
+made per latch by the core's `Netlist._row_runner`. Those calls are
+counted as the `netlist` module docstring says, and the core calls by
+`test_five_latch_core_calls_per_cycle`, so a kernel that steps several
+latches per call fails them until ROADMAP items 1 and 2 land.
 
 Each latch discards two bits per step (the enable pass-through and the
 Fredkin swap residue); the running total is tracked per element because
@@ -61,9 +57,7 @@ LATCH_CORE = Netlist(
     garbage_outputs=["et", "gs"],
     name="dlatch_core",
 )
-_LATCH = LATCH_CORE._plan
-_QS, _QO = _LATCH.slot["qs"], _LATCH.slot["qo"]
-_READ = (_QS, _QO)  # the core's columns a step reads; its garbage is never transposed
+_STEP = LATCH_CORE._row_runner("qs", "qo")  # a rank's next states and outputs
 _LATCH_COST = LATCH_CORE.cost_report()
 
 # Ranks of the state list: every latch, the masters, the slaves.
@@ -167,14 +161,13 @@ def _clock(ranks, e: int, data: Sequence[int]) -> Sequence[int]:
     rows = len(held)
     if len(data) != rows:
         raise ValueError(f"{len(data)} data bits for {rows} latches")
-    slots = _LATCH.forward_rows(((e,) * rows, data, held, (0,) * rows), _READ)  # e, d, q, z
-    new = slots[_QS]
+    new, out = _STEP((e,) * rows, data, held)
     start = 0
     for circuit, latches, end in ends:
         circuit._q[latches] = new[start:end]
         circuit._latch_steps += end - start
         start = end
-    return slots[_QO]
+    return out
 
 
 def _feed(chains: Sequence[ClockedCircuit], sin: int) -> list[int]:

@@ -331,6 +331,20 @@ class TestVerify:
         assert captured.err.endswith(f"error: verify --mode auto takes no --{refused}: {path} "
                                      "has 7 source bits, so it is checked exhaustively\n")
 
+    def test_auto_mode_refuses_sampling_before_the_check_runs(self, capsys, tmp_path,
+                                                              monkeypatch):
+        path = tmp_path / "cpa2.rnl"
+        run(capsys, "build", "cpa", "--width", "2", "--out", str(path))
+        checked = []
+        monkeypatch.setattr(revalu.cli, "check_reversibility",
+                            lambda *args, **kwargs: checked.append(args))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", str(path), "--samples", "5"])
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out, checked) == (2, "", [])
+        assert captured.err.endswith(f"error: verify --mode auto takes no --samples: {path} "
+                                     "has 7 source bits, so it is checked exhaustively\n")
+
     def test_auto_mode_takes_sampling_when_random(self, capsys, tmp_path):
         path = tmp_path / "cpa8.rnl"
         run(capsys, "build", "cpa", "--width", "8", "--out", str(path))

@@ -419,7 +419,7 @@ class TestDatapathWork:
     def test_five_latch_core_calls_per_cycle(self, monkeypatch):
         # The S/C loads, then per clock phase the shift registers'
         # masters and their slaves (at cp=1 with the Y/M holds).
-        core = revalu.sequential._LATCH
+        core = revalu.sequential.LATCH_CORE._plan
         real = core.forward_rows
         calls = []
         monkeypatch.setattr(core, "forward_rows",

@@ -1,7 +1,9 @@
 """Netlist validation, simulation, inverse simulation, and cost tests."""
 
+import ast
 import graphlib
 import json
+import os
 import random
 from itertools import product
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revalu
 from revalu import (
     AND,
     FEYNMAN,
@@ -32,7 +35,7 @@ from revalu import (
     serialize_rnl,
 )
 from revalu.montgomery import _csa_stage
-from revalu.netlist import ReversibilityReport, ValidationReport, Violation, _random_blocks
+from revalu.netlist import CostReport, ReversibilityReport, ValidationReport, Violation, _random_blocks
 from revalu.sequential import LATCH_CORE
 
 
@@ -899,6 +902,81 @@ def test_planted_fault_at_generated_size_matches_reference(generated, fault):
     assert str(info.value) == (
         f"netlist {netlist.name} is invalid ({len(expected.violations)} violations): {summary}"
     )
+
+
+def reference_unit_delay(netlist: Netlist) -> int:
+    """Longest gate count from a source to a primary output, over wire names."""
+    depth = dict.fromkeys((*netlist.primary_inputs, *netlist.constants), 0)
+    for i in reference_toposort(netlist):
+        g = netlist.gates[i]
+        depth.update(dict.fromkeys(g.outputs, 1 + max(depth[w] for w in g.inputs)))
+    return max((depth[w] for w in netlist.primary_outputs), default=0)
+
+
+def assert_cost_matches_reference(netlist: Netlist) -> None:
+    if not reference_validate(netlist).ok:
+        with pytest.raises(NetlistError) as planned:
+            netlist._plan
+        with pytest.raises(NetlistError) as costed:
+            netlist.cost_report()
+        assert str(costed.value) == str(planned.value)
+        return
+    assert netlist.cost_report() == CostReport(
+        gate_count=len(netlist.gates),
+        garbage_count=len(netlist.garbage_outputs),
+        unit_delay=reference_unit_delay(netlist),
+        constant_input_count=len(netlist.constants),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(tangled_netlists(), random_netlists()))
+def test_cost_report_matches_reference(netlist):
+    assert_cost_matches_reference(netlist)
+
+
+COSTED = {
+    "fa": build_full_adder,
+    **{f"cpa{w}": lambda w=w: build_cpa(w) for w in range(1, 17)},
+    **{f"csa42_{w}": lambda w=w: build_csa42(w) for w in range(1, 9)},
+    **{f"csa52_{w}": lambda w=w: build_csa52(w) for w in range(1, 9)},
+    **{f"icpa{w}": lambda w=w: build_irreversible_cpa(w) for w in range(1, 9)},
+    **{f"csa_stage{k}_{w}x{n}": lambda w=w, n=n, k=k: _csa_stage(
+        w, n, bus="ym"[k - 1], tap_lsb=k == 2, name=f"csa_stage{k}")
+       for w, n in ((10, 8), (18, 16), (66, 64)) for k in (1, 2)},
+    "latch_core": lambda: LATCH_CORE,
+}
+
+
+@pytest.mark.parametrize("name", COSTED)
+def test_generated_cost_report_matches_reference(name):
+    assert_cost_matches_reference(COSTED[name]())
+
+
+def test_only_the_netlist_module_reads_plans():
+    # netlist.py alone compiles, runs and reads plans; other modules
+    # go through Netlist's methods, `_runner` and `_row_runner` among them.
+    internals = {"_plan", "_Plan", "slot", "forward", "forward_rows", "output_slots",
+                 "backwards", "_require_bits"}
+    src = os.path.dirname(revalu.__file__)
+    used = {}
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "netlist.py":
+            continue
+        with open(os.path.join(src, name)) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found = {node.id}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, ast.alias):
+                found = {node.name, node.asname}
+            else:
+                continue
+            if found & internals:
+                used.setdefault(name, set()).update(found & internals)
+    assert used == {}
 
 
 def kahn_toposort(netlist: Netlist):
