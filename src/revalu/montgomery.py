@@ -2,14 +2,16 @@
 
 `mont_mult_word` runs radix-2 Montgomery on one running total T: each
 step adds x_i * Y, then M if T is odd (M is odd, so that clears the
-parity bit), and halves T, with one parity test and at most one
-addition (of Y, M or Y + M) per step. After n steps T equals
-X * Y * 2^(-n) modulo M, up to one final conditional subtraction.
+parity bit), and halves T. Both additions are one lookup in a table
+built per product, indexed by x_i and the parity of T: one addition
+and one halving per step. After n steps T equals X * Y * 2^(-n)
+modulo M, up to one final conditional subtraction.
 `mont_mult_trace` runs the same steps on the carry-save words S and C
 whose sum is T, as the hardware does, so that it can record them. The
 two agree step for step: the carry word is even after each stage, so
 the low bit of S is the parity of T, and both loops add the same
-multiples of M to the same totals and fail the same parity checks.
+multiples of M to the same totals. Only the trace checks the parity;
+`mont_mult_word` hands it any modulus forced even past `MontParams`.
 
 The gate-level datapath runs the carry-save loop on reversible hardware:
 
@@ -117,9 +119,6 @@ class CycleRecord:
     c: int
 
 
-_ODD_BEFORE_HALVING = "parity set before halving; halving would be inexact"
-
-
 class MontTrace(NamedTuple):
     params: MontParams
     x: int
@@ -132,36 +131,23 @@ def mont_mult_word(x: int, y: int, params: MontParams) -> int:
     """Compute x * y * 2^(-n) mod M on the running total.
 
     Each step adds x_i * Y, then M if the total is odd, and halves it;
-    x is read once, LSB first. The step tests the parity of T once and
-    makes at most one addition: with x_i set, T + Y is odd exactly when
-    the low bits of T and Y differ, and then Y + M (summed once per
-    call) is added, else Y; with x_i clear, M is added when T is odd.
-    An odd total plus M stays odd exactly when M is even, so the parity
-    check becomes "M is even", made wherever M would be added, also
-    under `python -O`; it fails only for a modulus forced even past
-    `MontParams`, at the same step as the carry-save trace.
+    x is read once, LSB first. The two additions are one table step,
+    T = (T + addend[x_i][T & 1]) >> 1, where the entry, built once per
+    product, is the multiple of Y and M that leaves T even: two big-int
+    operations per bit. A modulus forced even past `MontParams` cannot
+    clear the parity, so it is handed to `mont_mult_trace`, which gives
+    the same product or raises the same `InvariantError` at the same step.
     """
     _check_operand("x", x, params)
     _check_operand("y", y, params)
     m = params.modulus
-    y0 = y & 1
-    ym = y + m
-    m_even = not m & 1
+    if not m & 1:
+        return mont_mult_trace(x, y, params).product
+    addend = ((0, m), (y + m, y) if y & 1 else (y, y + m))
     t = 0
     # x's bits as `to_bits` gives them, without its checks, which cost 1-2% of `mont_exp`.
     for xi in format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]:
-        if xi:
-            if (t & 1) != y0:
-                if m_even:
-                    raise InvariantError(_ODD_BEFORE_HALVING)
-                t += ym
-            else:
-                t += y
-        elif t & 1:
-            if m_even:
-                raise InvariantError(_ODD_BEFORE_HALVING)
-            t += m
-        t >>= 1
+        t = (t + addend[xi][t & 1]) >> 1
     return t - m if t >= m else t
 
 
@@ -183,7 +169,7 @@ def mont_mult_trace(x: int, y: int, params: MontParams) -> MontTrace:
         c1 <<= 1
         s2, c = _csa(s1, c1, m if s1 & 1 else 0)
         if s2 & 1:
-            raise InvariantError(_ODD_BEFORE_HALVING)
+            raise InvariantError("parity set before halving; halving would be inexact")
         s = s2 >> 1
         if s + c >= 2 * m:
             raise InvariantError("running sum S + C reached 2M")
@@ -221,7 +207,10 @@ def mont_exp(a: int, b: int, modulus: int) -> int:
 
     Every squaring and conditional multiplication is a Montgomery
     product; operands enter the residue domain once and the result
-    leaves it once at the end.
+    leaves it once at the end. That is one squaring per bit of b, one
+    product per set bit and one to leave the domain: 20 products at
+    b = 65537. The first squaring and the first multiply act on the
+    Montgomery form of 1, so those two only turn it into abar.
     """
     _require_int("b", b)
     _require_int("modulus", modulus)

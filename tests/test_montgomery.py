@@ -161,17 +161,20 @@ class TestWordLevel:
         assert trace.product == product
 
 
-    @pytest.mark.parametrize("bits", [1024, 2048])
-    def test_edge_operands_at_benchmark_width(self, bits):
+    @pytest.mark.parametrize("bits, y_below_m", [(1024, 1), (2048, 1), (1024, 2), (2048, 2)],
+                             ids=["1024", "2048", "1024-odd-y", "2048-odd-y"])
+    def test_edge_operands_at_benchmark_width(self, bits, y_below_m):
         # x = 0, 1, 2^(n-1) and the widest all-ones value below m, each
-        # times y = m - 1; together they take all four (x_i, s0) branches.
+        # times y = m - 1 (even) and y = m - 2 (odd), so that both of
+        # `mont_mult_word`'s x_i = 1 table rows run; together they take
+        # all four (x_i, s0) branches.
         m = random.Random(bits).getrandbits(bits) | (1 << (bits - 1)) | 1
         params = MontParams.for_modulus(m)
         assert params.n == bits
         ones = (1 << bits) - 1
         if ones >= m:
             ones >>= 1
-        y = m - 1
+        y = m - y_below_m
         branches = set()
         for x in (0, 1, 1 << (bits - 1), ones):
             cycles, product = reference_scan(x, y, params)
@@ -759,6 +762,34 @@ class TestWordMatchesTrace:
                         assert word == trace, (m, n, x, y)
                         failures += isinstance(word, str)
         assert failures > 0
+
+    def test_only_a_forced_even_modulus_reaches_the_trace(self, monkeypatch):
+        # The table step must be the word product itself, not a path
+        # through the carry-save oracle.
+        calls = []
+        real = mg.mont_mult_trace
+
+        def counting(x, y, params):
+            calls.append(params.modulus)
+            return real(x, y, params)
+
+        monkeypatch.setattr(mg, "mont_mult_trace", counting)
+        for m in range(1, 1 << 6, 2):
+            params = MontParams.for_modulus(m)
+            for x in range(m):
+                for y in range(m):
+                    assert mg.mont_mult_word(x, y, params) == oracle_product(x, y, m, params.n)
+        m = random.Random(1024).getrandbits(1024) | (1 << 1023) | 1
+        x, y = m - 1, m - 2
+        assert mg.mont_mult_word(x, y, MontParams.for_modulus(m)) == oracle_product(x, y, m, 1024)
+        assert calls == []
+
+        params = object.__new__(MontParams)
+        object.__setattr__(params, "modulus", 6)
+        object.__setattr__(params, "n", 3)
+        with pytest.raises(mg.InvariantError, match="parity"):
+            mg.mont_mult_word(3, 5, params)
+        assert calls == [6]
 
 
 class TestOnlyIntWords:
