@@ -207,7 +207,7 @@ def _cmd_sim(args, parser) -> int:
         return 0
     if args.path is None or args.inputs is None:
         parser.error("sim requires a netlist path and --inputs (or --clocked)")
-    _refuse(args, parser, "sim PATH", ("width",))
+    _refuse(args, parser, "sim PATH", ("width", "stimulus"))
     netlist = _read_netlist(args.path)
     assignment = _bit_map(_load_json_arg(args.inputs), "inputs")
     values = netlist.simulate(assignment)

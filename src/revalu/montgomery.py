@@ -1,17 +1,22 @@
 """Montgomery modular multiplication, word-level and gate-level.
 
-`mont_mult_word` runs radix-2 Montgomery on one running total T: each
-step adds x_i * Y, then M if T is odd (M is odd, so that clears the
-parity bit), and halves T. Both additions are one lookup in a table
-built per product, indexed by x_i and the parity of T: one addition
-and one halving per step. After n steps T equals X * Y * 2^(-n)
-modulo M, up to one final conditional subtraction.
-`mont_mult_trace` runs the same steps on the carry-save words S and C
-whose sum is T, as the hardware does, so that it can record them. The
-two agree step for step: the carry word is even after each stage, so
-the low bit of S is the parity of T, and both loops add the same
-multiples of M to the same totals. Only the trace checks the parity;
-`mont_mult_word` hands it any modulus forced even past `MontParams`.
+`mont_mult_word` runs Montgomery on one running total T, reading x
+one hex digit d at a time, LSB first: each step adds d * Y, then the
+multiple q * M that clears T's low four bits, and divides T by 16.
+Both addends come from two 16-entry tables, ym[d], built per product,
+and clear[T & 15], built once per `MontParams`: three big-int
+operations per 4 bits. The top digit holds
+the last 1-4 bits of n, so its q is masked to that width r and T is
+shifted by r: exactly n bits are divided out and T stays below 2M.
+After the scan T equals X * Y * 2^(-n) modulo M, up to one final
+conditional subtraction.
+`mont_mult_trace` runs the paper's radix-2 steps, one per bit of x, on
+the carry-save words S and C whose sum is T, as the hardware does, so
+that it can record them: each adds x_i * Y, then M if T is odd, and
+halves T. The carry word is even after each stage, so the low bit of S
+is the parity of T. Both loops end on the one residue of X * Y * 2^(-n)
+below M. Only the trace checks the parity; `mont_mult_word` hands it
+any modulus forced even past `MontParams`, which has no inverse mod 16.
 
 The gate-level datapath runs the carry-save loop on reversible hardware:
 
@@ -41,11 +46,12 @@ because callers use it with ``dataclasses.asdict`` and ``replace``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .arith import _bus, _copy, _full_adder, build_cpa
-from .bits import _BIT_VALUES, _require_int, from_bits, to_bits
+from .bits import _require_int, from_bits, to_bits
 from .gates import TOFFOLI
 from .netlist import CostReport, GateInstance, Netlist
 from .sequential import Register, ShiftRegister, _load, _pulse
@@ -90,6 +96,15 @@ class MontParams:
     def r(self) -> int:
         return 1 << self.n
 
+    @cached_property
+    def _clearing(self) -> tuple:
+        """`mont_mult_word`'s tables for this modulus M: c = -M^(-1) mod 16,
+        the multiples q * M for q < 16, and clear[r] = (r * c mod 16) * M."""
+        m = self.modulus
+        c = pow(-m, -1, 16)
+        mm = tuple(accumulate(repeat(m, 15), initial=0))
+        return c, mm, tuple(mm[r * c & 15] for r in range(16))
+
     @property
     def register_width(self) -> int:
         # S, C < 2M and one in-flight addend each < M keep every
@@ -127,27 +142,42 @@ class MontTrace(NamedTuple):
     product: int
 
 
+#: Hex digits "0"-"f" to bytes 0-15, as `bits._BIT_VALUES` does for bits.
+_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def mont_mult_word(x: int, y: int, params: MontParams) -> int:
     """Compute x * y * 2^(-n) mod M on the running total.
 
-    Each step adds x_i * Y, then M if the total is odd, and halves it;
-    x is read once, LSB first. The two additions are one table step,
-    T = (T + addend[x_i][T & 1]) >> 1, where the entry, built once per
-    product, is the multiple of Y and M that leaves T even: two big-int
-    operations per bit. A modulus forced even past `MontParams` cannot
-    clear the parity, so it is handed to `mont_mult_trace`, which gives
-    the same product or raises the same `InvariantError` at the same step.
+    x is read one hex digit d at a time, LSB first, each digit one table
+    step: u = T + ym[d], then T = (u + clear[u & 15]) >> 4. ym[d] is
+    d * Y, and clear[r] is q * M with q = r * (-M^(-1) mod 16) mod 16,
+    which makes u + clear[u & 15] a multiple of 16. Both 16-entry tables
+    take 15 additions each: ym once per product, and clear once per
+    `MontParams`, which keeps it. That leaves three big-int operations
+    per 4 bits. The top digit holds the last r = 1-4 bits of n, so its q
+    is masked with 2^r - 1 and T is shifted by r: exactly n bits are
+    divided out, and T stays below 2M for the one final subtraction. A
+    modulus forced even past `MontParams` has no inverse mod 16, so it
+    is handed to `mont_mult_trace` first, which gives the same product
+    or raises the same `InvariantError` at the same step.
     """
     _check_operand("x", x, params)
     _check_operand("y", y, params)
     m = params.modulus
     if not m & 1:
         return mont_mult_trace(x, y, params).product
-    addend = ((0, m), (y + m, y) if y & 1 else (y, y + m))
+    c, mm, clear = params._clearing
+    ym = list(accumulate(repeat(y, 15), initial=0))
+    digits = format(x, f"0{(params.n + 3) // 4}x").encode().translate(_HEX_VALUES)
     t = 0
-    # x's bits as `to_bits` gives them, without its checks, which cost 1-2% of `mont_exp`.
-    for xi in format(x, f"0{params.n}b").encode().translate(_BIT_VALUES)[::-1]:
-        t = (t + addend[xi][t & 1]) >> 1
+    for d in digits[:0:-1]:
+        u = t + ym[d]
+        t = (u + clear[u & 15]) >> 4
+    r = (params.n - 1) % 4 + 1  # the top digit's width
+    mask = (1 << r) - 1
+    u = t + ym[digits[0]]
+    t = (u + mm[(u & mask) * c & mask]) >> r
     return t - m if t >= m else t
 
 

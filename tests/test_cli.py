@@ -139,6 +139,9 @@ class TestOptionsEachModeTakes:
             (["trace", "--m", "7", "--x", "3", "--seed", "2"],
              "trace requires --x and --y (or --count > 1)"),
             (["sim", "--width", "3"], "sim requires a netlist path and --inputs (or --clocked)"),
+            # Last, so that the rows above keep their ids.
+            (["sim", "n.rnl", "--inputs", "{}", "--stimulus", "[{}]"],
+             "sim PATH takes no --stimulus"),
         ],
     )
     def test_ignored_option_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):

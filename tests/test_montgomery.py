@@ -161,13 +161,16 @@ class TestWordLevel:
         assert trace.product == product
 
 
-    @pytest.mark.parametrize("bits, y_below_m", [(1024, 1), (2048, 1), (1024, 2), (2048, 2)],
-                             ids=["1024", "2048", "1024-odd-y", "2048-odd-y"])
+    @pytest.mark.parametrize("bits, y_below_m", [(1024, 1), (2048, 1), (1024, 2), (2048, 2),
+                                                  (1021, 1), (1022, 1), (1023, 1)],
+                             ids=["1024", "2048", "1024-odd-y", "2048-odd-y",
+                                  "1021", "1022", "1023"])
     def test_edge_operands_at_benchmark_width(self, bits, y_below_m):
         # x = 0, 1, 2^(n-1) and the widest all-ones value below m, each
-        # times y = m - 1 (even) and y = m - 2 (odd), so that both of
-        # `mont_mult_word`'s x_i = 1 table rows run; together they take
-        # all four (x_i, s0) branches.
+        # times y = m - 1 (even) and y = m - 2 (odd). At 1021 to 1024 bits
+        # `mont_mult_word`'s top hex digit holds 1 to 4 bits, and x =
+        # 2^(n-1) and the all-ones x set bits in it; together they take
+        # all four (x_i, s0) branches of the trace.
         m = random.Random(bits).getrandbits(bits) | (1 << (bits - 1)) | 1
         params = MontParams.for_modulus(m)
         assert params.n == bits
