@@ -74,7 +74,9 @@ class GateKind:
         for key, value in table.items():
             if len(key) != arity or len(value) != n_out:
                 raise ValueError(f"{name}: table entry {key} -> {value} has wrong width")
-            if key not in patterns or not {0, 1}.issuperset(value):
+            # True and 1.0 equal 1, so the type check keeps them out.
+            if (key not in patterns or not {0, 1}.issuperset(value)
+                    or {*map(type, key), *map(type, value)} != {int}):
                 raise ValueError(f"{name}: table entry {key} -> {value} is not 0/1")
         self._table = dict(table)
         inverse = {v: k for k, v in self._table.items()}

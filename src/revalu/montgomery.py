@@ -1,14 +1,13 @@
 """Montgomery modular multiplication, word-level and gate-level.
 
-`mont_mult_word` runs Montgomery on one running total T, reading x
-one hex digit d at a time, LSB first: each step adds d * Y, then the
-multiple q * M that clears T's low four bits, and divides T by 16.
-Both addends come from two 16-entry tables, ym[d], built per product,
-and clear[T & 15], built once per `MontParams`: three big-int
-operations per 4 bits. The top digit holds
-the last 1-4 bits of n, so its q is masked to that width r and T is
-shifted by r: exactly n bits are divided out and T stays below 2M.
-After the scan T equals X * Y * 2^(-n) modulo M, up to one final
+`mont_mult_word` runs Montgomery on one running total T, reading
+x * 2^pad one hex digit d at a time, LSB first, with pad = -n mod 4:
+each step adds d * Y, then the multiple q * M that clears T's low four
+bits, and divides T by 16. Both addends come from two 16-entry tables,
+ym[d], built per product, and clear[T & 15], built once per
+`MontParams`: three big-int operations per 4 bits. The scan divides
+n + pad bits out of X * 2^pad * Y, so R = 2^n is unchanged, and T stays
+below 2M: after it T equals X * Y * 2^(-n) modulo M, up to one final
 conditional subtraction.
 `mont_mult_trace` runs the paper's radix-2 steps, one per bit of x, on
 the carry-save words S and C whose sum is T, as the hardware does, so
@@ -97,13 +96,14 @@ class MontParams:
         return 1 << self.n
 
     @cached_property
-    def _clearing(self) -> tuple:
-        """`mont_mult_word`'s tables for this modulus M: c = -M^(-1) mod 16,
-        the multiples q * M for q < 16, and clear[r] = (r * c mod 16) * M."""
+    def _clearing(self) -> tuple[int, ...]:
+        """`mont_mult_word`'s one table for this modulus M: clear[r] = q * M
+        with q = r * (-M^(-1) mod 16) mod 16, so r + clear[r] is 0 mod 16.
+        Every hex digit of x * 2^pad, pad = -n mod 4, takes its step with
+        it: n + pad bits are divided out and R = 2^n is unchanged."""
         m = self.modulus
         c = pow(-m, -1, 16)
-        mm = tuple(accumulate(repeat(m, 15), initial=0))
-        return c, mm, tuple(mm[r * c & 15] for r in range(16))
+        return tuple((r * c & 15) * m for r in range(16))
 
     @property
     def register_width(self) -> int:
@@ -149,35 +149,32 @@ _HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 def mont_mult_word(x: int, y: int, params: MontParams) -> int:
     """Compute x * y * 2^(-n) mod M on the running total.
 
-    x is read one hex digit d at a time, LSB first, each digit one table
-    step: u = T + ym[d], then T = (u + clear[u & 15]) >> 4. ym[d] is
-    d * Y, and clear[r] is q * M with q = r * (-M^(-1) mod 16) mod 16,
-    which makes u + clear[u & 15] a multiple of 16. Both 16-entry tables
-    take 15 additions each: ym once per product, and clear once per
-    `MontParams`, which keeps it. That leaves three big-int operations
-    per 4 bits. The top digit holds the last r = 1-4 bits of n, so its q
-    is masked with 2^r - 1 and T is shifted by r: exactly n bits are
-    divided out, and T stays below 2M for the one final subtraction. A
-    modulus forced even past `MontParams` has no inverse mod 16, so it
-    is handed to `mont_mult_trace` first, which gives the same product
-    or raises the same `InvariantError` at the same step.
+    x * 2^pad, with pad = -n mod 4, is read one hex digit d at a time,
+    LSB first, each digit one table step: u = T + ym[d], then
+    T = (u + clear[u & 15]) >> 4. ym[d] is d * Y, and clear[r] is q * M
+    with q = r * (-M^(-1) mod 16) mod 16, which makes u + clear[u & 15]
+    a multiple of 16. Both tables have 16 entries: ym takes 15 additions
+    per product, and clear is built once per `MontParams`, which keeps
+    it. That leaves three big-int operations per 4 bits. The scan divides
+    n + pad bits out of x * 2^pad * Y, which leaves R = 2^n, and each
+    step keeps T < (2M + 15M + 15M) / 16 = 2M for the one final
+    subtraction. A modulus forced even past `MontParams` has no inverse
+    mod 16, so it is handed to `mont_mult_trace` first, which gives the
+    same product or raises the same `InvariantError` at the same step.
     """
     _check_operand("x", x, params)
     _check_operand("y", y, params)
     m = params.modulus
     if not m & 1:
         return mont_mult_trace(x, y, params).product
-    c, mm, clear = params._clearing
+    clear = params._clearing
     ym = list(accumulate(repeat(y, 15), initial=0))
-    digits = format(x, f"0{(params.n + 3) // 4}x").encode().translate(_HEX_VALUES)
+    pad = -params.n % 4
+    digits = format(x << pad, f"0{(params.n + pad) // 4}x").encode().translate(_HEX_VALUES)
     t = 0
-    for d in digits[:0:-1]:
+    for d in reversed(digits):
         u = t + ym[d]
         t = (u + clear[u & 15]) >> 4
-    r = (params.n - 1) % 4 + 1  # the top digit's width
-    mask = (1 << r) - 1
-    u = t + ym[digits[0]]
-    t = (u + mm[(u & mask) * c & mask]) >> r
     return t - m if t >= m else t
 
 

@@ -93,6 +93,15 @@ class TestArgumentErrors:
         with pytest.raises(ValueError, match="not 0/1"):
             GateKind("BAD", 1, {(0,): (1,), (1,): (2,)})
 
+    @pytest.mark.parametrize("table", [{(0,): (0,), (1,): (True,)},
+                                       {(0,): (0,), (1,): (1.0,)},
+                                       {(False,): (1,), (True,): (0,)}],
+                             ids=["bool-value", "float-value", "bool-key"])
+    def test_equal_but_non_int_table_entry_refused(self, table):
+        # A bit is the int 0 or 1: True and 1.0 compare equal to 1 but are refused.
+        with pytest.raises(ValueError, match="is not 0/1"):
+            GateKind("BAD", 1, table)
+
 
 class TestInvert:
     def test_fredkin_inverse_of_swap(self):

@@ -142,13 +142,16 @@ class TestWordLevel:
             for y in range(13):
                 assert 0 <= mont_mult_word(x, y, params) < 13
 
-    def test_scan_longer_than_modulus(self):
+    # n = 204 to 207 on a 200-bit modulus: pad -n mod 4 takes every value,
+    # with leading zero digits in x.
+    @pytest.mark.parametrize("n", [204, 205, 206, 207])
+    def test_scan_longer_than_modulus(self, n):
         rng = random.Random(23)
         m = rng.getrandbits(200) | (1 << 199) | 1
-        params = MontParams(m, 205)
+        params = MontParams(m, n)
         for _ in range(20):
             x, y = rng.randrange(m), rng.randrange(m)
-            assert mont_mult_word(x, y, params) == oracle_product(x, y, m, 205)
+            assert mont_mult_word(x, y, params) == oracle_product(x, y, m, n)
 
     @settings(max_examples=150, deadline=None)
     @given(scan_cases())
@@ -168,8 +171,8 @@ class TestWordLevel:
     def test_edge_operands_at_benchmark_width(self, bits, y_below_m):
         # x = 0, 1, 2^(n-1) and the widest all-ones value below m, each
         # times y = m - 1 (even) and y = m - 2 (odd). At 1021 to 1024 bits
-        # `mont_mult_word`'s top hex digit holds 1 to 4 bits, and x =
-        # 2^(n-1) and the all-ones x set bits in it; together they take
+        # `mont_mult_word` pads x by 3 to 0 bits to whole hex digits, and x =
+        # 2^(n-1) and the all-ones x set bits in its top digit; together they take
         # all four (x_i, s0) branches of the trace.
         m = random.Random(bits).getrandbits(bits) | (1 << (bits - 1)) | 1
         params = MontParams.for_modulus(m)
